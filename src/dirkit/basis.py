@@ -132,14 +132,13 @@ class BasisSpectrumModel(Directivity):
         return _MODEL_TYPES
 
     def _positions(self, frequencies):
-        """Clamp to the limits, then map to fit positions in [0, (N-1)/N]."""
+        """Map frequencies inside the limits to fit positions in [0, (N-1)/N]."""
         lo, hi = self.coords.frequencies
-        f = np.clip(np.asarray(frequencies, dtype=np.float64), lo, hi)
+        f = np.asarray(frequencies, dtype=np.float64)
         n = len(self._bins)
         if n == 1:
-            return np.clip(f, lo, hi) * 0.0, f
-        x = (f - lo) / (hi - lo) * ((n - 1) / n)
-        return x, f
+            return np.zeros_like(f)
+        return (f - lo) / (hi - lo) * ((n - 1) / n)
 
     def get_data_matrix(self, requested, datatype):
         self._check_datatype(datatype)
@@ -149,28 +148,12 @@ class BasisSpectrumModel(Directivity):
                 "use spectrum_series for a sampled sweep"
             )
         require_discrete_request(requested)
-
-        stored = self.coords
-        d_idx = kernels.nearest_direction(
-            stored.azimuth_array,
-            stored.elevation_array,
-            requested.azimuth_array,
-            requested.elevation_array,
-        )
-        r_idx = kernels.nearest_value(
-            stored.distance_array, requested.distance_array
-        )
-        x, actual_freqs = self._positions(requested.frequency_array)
+        # Directions and distances snap; frequencies clamp into the limits.
+        d_idx, _, r_idx, actual = discrete_read_indices(self.coords, requested)
+        x = self._positions(actual.frequencies)
         design = eval_basis(self._family, self.order, x)
         coef = self._coefficients[d_idx][:, :, r_idx]
         db = np.einsum("dkr,fk->dfr", coef, design)
-
-        actual = CoordinateSet._unchecked(
-            tuple(stored.directions[i] for i in d_idx),
-            tuple(float(f) for f in actual_freqs),
-            tuple(stored.distances[i] for i in r_idx),
-            Continuity(False, False, False),
-        )
         if datatype is DataType.LOG_MAGNITUDE:
             return DataVolume(db, actual, datatype)
         return DataVolume(magnitude_as(datatype, db_to_linear(db)), actual, datatype)

@@ -184,15 +184,8 @@ def cmd_spectrum(args):
 
 def cmd_fit(args):
     source = _load(args.input, args.receiver)
-    limits = None
-    if args.fmin is not None or args.fmax is not None:
-        limits = (
-            0.0 if args.fmin is None else args.fmin,
-            float("inf") if args.fmax is None else args.fmax,
-        )
-    model = fit_basis_model(
-        args.info, source, BasisFamily.parse(args.family), args.order, limits
-    )
+    family = BasisFamily.parse(args.family)
+    model = fit_basis_model(args.info, source, family, args.order, _freq_range(args))
     write_dirm(model, args.output)
     lo, hi = model.frequency_limits
     print(

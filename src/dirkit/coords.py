@@ -43,7 +43,9 @@ class Direction:
             raise ValueError(f"direction ({az}, {el}) has non-finite components")
         if not -90.0 <= el <= 90.0:
             raise ValueError(f"elevation {el} outside [-90, +90]")
-        object.__setattr__(self, "azimuth", az % 360.0)
+        az %= 360.0
+        # A tiny negative azimuth wraps to 360.0 in floating point.
+        object.__setattr__(self, "azimuth", 0.0 if az == 360.0 else az)
         object.__setattr__(self, "elevation", el)
 
     def angle_to(self, other):
@@ -199,26 +201,48 @@ class CoercionResult(NamedTuple):
     changed: bool
 
 
+def _snap_directions(base, requested):
+    """Discrete requested directions onto `base`: the nearest stored
+    direction, or the elevation clamped into continuous limits.
+
+    Returns (indices, directions); indices is None for a continuous base.
+    """
+    if base.continuity.direction:
+        lo, hi = base.elevation_limits
+        return None, tuple(
+            Direction(d.azimuth, min(max(d.elevation, lo), hi))
+            for d in requested.directions
+        )
+    idx = kernels.nearest_direction(
+        base.azimuth_array,
+        base.elevation_array,
+        requested.azimuth_array,
+        requested.elevation_array,
+    )
+    return idx, tuple(base.directions[i] for i in idx)
+
+
+def _snap_values(base_vals, base_continuous, req_vals):
+    """Discrete requested values onto stored ones: the nearest stored
+    value, or the value clamped into continuous limits.
+
+    Returns (indices, values); indices is None for a continuous base.
+    """
+    if base_continuous:
+        lo, hi = base_vals
+        return None, tuple(min(max(float(v), lo), hi) for v in req_vals)
+    idx = kernels.nearest_value(
+        np.array(base_vals, dtype=np.float64), np.array(req_vals, dtype=np.float64)
+    )
+    return idx, tuple(float(base_vals[i]) for i in idx)
+
+
 def _coerce_directions(base, requested):
     if not requested.continuity.direction:
-        req = requested.directions
-        if len(req) == 0:
+        if len(requested.directions) == 0:
             return (), False
-        if base.continuity.direction:
-            lo, hi = base.elevation_limits
-            out = tuple(
-                Direction(d.azimuth, min(max(d.elevation, lo), hi)) for d in req
-            )
-        else:
-            idx = kernels.nearest_direction(
-                base.azimuth_array,
-                base.elevation_array,
-                requested.azimuth_array,
-                requested.elevation_array,
-            )
-            out = tuple(base.directions[i] for i in idx)
-        changed = any(a != b for a, b in zip(out, req))
-        return out, changed
+        _, out = _snap_directions(base, requested)
+        return out, any(a != b for a, b in zip(out, requested.directions))
 
     req_lo, req_hi = requested.directions
     if base.continuity.direction:
@@ -237,14 +261,9 @@ def _coerce_values(base_vals, base_continuous, req_vals, req_continuous):
     req = tuple(float(v) for v in req_vals)
     if len(req) == 0:
         return (), False
-    if base_continuous:
-        lo, hi = base_vals
-        out = tuple(min(max(v, lo), hi) for v in req)
-    else:
-        idx = kernels.nearest_value(np.array(base_vals), np.array(req))
-        out = tuple(float(base_vals[i]) for i in idx)
-        if req_continuous:
-            out = (min(out), max(out))
+    _, out = _snap_values(base_vals, base_continuous, req)
+    if req_continuous and not base_continuous:
+        out = (min(out), max(out))
     return out, out != req
 
 
@@ -273,30 +292,24 @@ def coerce(base, requested):
 
 
 def discrete_read_indices(stored, requested):
-    """Nearest-neighbor indices of `requested` within a fully discrete
-    `stored` set, per dimension, plus the actual coordinates they land on.
+    """Indices of a fully discrete `requested` set within `stored`, per
+    dimension, plus the actual coordinates the read lands on.
 
-    Returns (direction_idx, frequency_idx, distance_idx, actual_coords).
-    Both sets must be fully discrete.
+    Discrete dimensions of `stored` snap to the nearest stored value;
+    continuous ones clamp into the stored limits and get no index (None),
+    the same rule `coerce` applies. Returns (direction_idx, frequency_idx,
+    distance_idx, actual_coords), with `actual_coords` fully discrete.
     """
-    if not stored.is_discrete:
-        raise ValueError("stored coordinates must be fully discrete")
     if not requested.is_discrete:
         raise ValueError("requested coordinates must be fully discrete")
-    d_idx = kernels.nearest_direction(
-        stored.azimuth_array,
-        stored.elevation_array,
-        requested.azimuth_array,
-        requested.elevation_array,
+    d_idx, dirs = _snap_directions(stored, requested)
+    f_idx, freqs = _snap_values(
+        stored.frequencies, stored.continuity.frequency, requested.frequencies
     )
-    f_idx = kernels.nearest_value(stored.frequency_array, requested.frequency_array)
-    r_idx = kernels.nearest_value(stored.distance_array, requested.distance_array)
-    actual = CoordinateSet._unchecked(
-        tuple(stored.directions[i] for i in d_idx),
-        tuple(stored.frequencies[i] for i in f_idx),
-        tuple(stored.distances[i] for i in r_idx),
-        DISCRETE,
+    r_idx, dists = _snap_values(
+        stored.distances, stored.continuity.distance, requested.distances
     )
+    actual = CoordinateSet._unchecked(dirs, freqs, dists, DISCRETE)
     return d_idx, f_idx, r_idx, actual
 
 
@@ -320,12 +333,6 @@ def expand_grid(cs):
 _POLE_TOL = 1e-12
 
 
-def _to_cartesian(azimuth_deg, elevation_deg):
-    az = np.deg2rad(np.asarray(azimuth_deg, dtype=np.float64))
-    el = np.deg2rad(np.asarray(elevation_deg, dtype=np.float64))
-    return np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)
-
-
 def spherical_to_interaural(azimuth, elevation):
     """Vertical-polar (azimuth, elevation) to interaural-polar (polar, lateral).
 
@@ -334,7 +341,7 @@ def spherical_to_interaural(azimuth, elevation):
     maps to polar +90, the left ear (90, 0) to lateral -90. At
     |lateral| = 90 the polar angle is undefined and set to 0.
     """
-    x, y, z = _to_cartesian(azimuth, elevation)
+    x, y, z = kernels._unit_vectors(azimuth, elevation)
     xr, yr, zr = x, z, -y
     lateral = np.degrees(np.arcsin(np.clip(zr, -1.0, 1.0)))
     polar = np.degrees(np.arctan2(yr, xr)) % 360.0
@@ -346,7 +353,7 @@ def spherical_to_interaural(azimuth, elevation):
 
 def interaural_to_spherical(polar, lateral):
     """Inverse of spherical_to_interaural, axis swap (x, y, z) -> (x, -z, y)."""
-    xr, yr, zr = _to_cartesian(polar, lateral)
+    xr, yr, zr = kernels._unit_vectors(polar, lateral)
     x, y, z = xr, -zr, yr
     elevation = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(y, x)) % 360.0
@@ -362,8 +369,8 @@ def great_circle_angle(azimuth_a, elevation_a, azimuth_b, elevation_b):
     Uses atan2 of the cross-product norm against the dot product, which
     stays accurate for nearly parallel and nearly antipodal pairs.
     """
-    ax, ay, az = _to_cartesian(azimuth_a, elevation_a)
-    bx, by, bz = _to_cartesian(azimuth_b, elevation_b)
+    ax, ay, az = kernels._unit_vectors(azimuth_a, elevation_a)
+    bx, by, bz = kernels._unit_vectors(azimuth_b, elevation_b)
     cx = ay * bz - az * by
     cy = az * bx - ax * bz
     cz = ax * by - ay * bx

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coords import CoordinateSet, Direction, coerce
+from .coords import CoordinateSet, Direction, _as_direction, coerce
 from .errors import UnsupportedDatatypeError
 
 DB_FLOOR = -300.0
@@ -193,7 +193,7 @@ class Directivity(ABC):
         else:
             freqs = self.coords.frequency_array
         requested = CoordinateSet(
-            directions=(_as_dir(direction),),
+            directions=(_as_direction(direction),),
             frequencies=tuple(freqs),
             distances=(float(distance),),
         )
@@ -234,10 +234,3 @@ class Directivity(ABC):
     def coerce_onto(self, requested):
         """Coerce a requested set onto this representation's coordinates."""
         return coerce(self.coords, requested)
-
-
-def _as_dir(value):
-    if isinstance(value, Direction):
-        return value
-    az, el = value
-    return Direction(float(az), float(el))

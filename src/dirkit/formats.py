@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .basis import BasisFamily, BasisSpectrumModel
-from .core import DataType
 from .errors import FormatError
 from .rawirs import RawIRs
 
@@ -170,11 +169,16 @@ def _wrap_build_error(path, builder):
 # --------------------------------------------------------------------------
 
 def write_dird(raw, path):
-    """Serialize a RawIRs object; see the module docstring for the layout."""
+    """Serialize a RawIRs object; see the module docstring for the layout.
+
+    Every stored response is written as given, including those of
+    directions that coincide on the sphere (such as the zenith at
+    several azimuths).
+    """
     coords = raw.coords
     d_count, _, r_count = coords.shape
     length = raw.ir_length
-    irs = raw.get_data_matrix(coords, DataType.IMPULSE_RESPONSES).values
+    irs = raw.irs
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("DIRD 1\n")
         handle.write(

@@ -1,29 +1,11 @@
-"""Numeric inner loops with optional numba acceleration.
+"""Numeric inner loops: nearest-neighbor searches and basis design matrices.
 
-Every kernel exists twice: a vectorized numpy version and a numba
-``@njit`` loop version. The active set is chosen at import time from the
-``DIRKIT_NUMBA`` environment variable:
-
-  - unset or ``auto``: use numba when it imports, numpy otherwise
-  - ``1`` / ``true`` / ``on``: require numba, fail loudly if missing
-  - ``0`` / ``false`` / ``off``: force the pure-numpy fallbacks
-
-``ACTIVE_BACKEND`` names the selected set; ``BACKENDS`` keeps both sets
-addressable for benchmarks and cross-checking tests.
-
-Ties in the nearest-neighbor kernels go to the lowest index: the numpy
-versions rely on argmin/argmax returning the first occurrence, the numba
-loops use strict comparisons.
+Ties in the nearest-neighbor searches go to the lowest index, because
+argmin/argmax return the first occurrence.
 """
-
-import os
 
 import numpy as np
 
-
-# --------------------------------------------------------------------------
-# numpy implementations
-# --------------------------------------------------------------------------
 
 def _unit_vectors(azimuth_deg, elevation_deg):
     az = np.deg2rad(np.asarray(azimuth_deg, dtype=np.float64))
@@ -32,13 +14,15 @@ def _unit_vectors(azimuth_deg, elevation_deg):
     return cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)
 
 
-def _np_nearest_direction(base_az, base_el, req_az, req_el):
+def nearest_direction(base_az, base_el, req_az, req_el):
     """Index of the great-circle-nearest base direction for each request.
 
     Nearest by angle == largest dot product of the unit vectors, which
     avoids an arccos per pair.
     """
     bx, by, bz = _unit_vectors(base_az, base_el)
+    if bx.shape[0] == 0:
+        raise ValueError("cannot search an empty direction list")
     rx, ry, rz = _unit_vectors(req_az, req_el)
     dots = (
         rx[:, None] * bx[None, :]
@@ -48,18 +32,22 @@ def _np_nearest_direction(base_az, base_el, req_az, req_el):
     return np.argmax(dots, axis=1).astype(np.int64)
 
 
-def _np_nearest_value(base, req):
+def nearest_value(base, req):
     """Index of the nearest base value (absolute difference) per request."""
     base = np.asarray(base, dtype=np.float64)
     req = np.asarray(req, dtype=np.float64)
+    if base.shape[0] == 0:
+        raise ValueError("cannot search an empty value list")
     return np.argmin(np.abs(req[:, None] - base[None, :]), axis=1).astype(np.int64)
 
 
-def _np_fourier_basis(order, x):
+def fourier_basis(order, x):
     """Design matrix of the interleaved trigonometric family.
 
     Columns: 1, cos(2*pi*x), sin(2*pi*x), cos(4*pi*x), sin(4*pi*x), ...
     """
+    if order < 1:
+        raise ValueError(f"basis order must be >= 1, got {order}")
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], order), dtype=np.float64)
     out[:, 0] = 1.0
@@ -69,151 +57,10 @@ def _np_fourier_basis(order, x):
     return out
 
 
-def _np_cosine_basis(order, x):
+def cosine_basis(order, x):
     """Design matrix of the half-range cosine family: cos(k*pi*x)."""
+    if order < 1:
+        raise ValueError(f"basis order must be >= 1, got {order}")
     x = np.asarray(x, dtype=np.float64)
     k = np.arange(order, dtype=np.float64)
     return np.cos(np.pi * x[:, None] * k[None, :])
-
-
-# --------------------------------------------------------------------------
-# numba implementations (compiled lazily below)
-# --------------------------------------------------------------------------
-
-def _nb_nearest_direction(base_az, base_el, req_az, req_el):  # pragma: no cover
-    n_base = base_az.shape[0]
-    n_req = req_az.shape[0]
-    bx = np.empty(n_base)
-    by = np.empty(n_base)
-    bz = np.empty(n_base)
-    for j in range(n_base):
-        az = np.deg2rad(base_az[j])
-        el = np.deg2rad(base_el[j])
-        c = np.cos(el)
-        bx[j] = c * np.cos(az)
-        by[j] = c * np.sin(az)
-        bz[j] = np.sin(el)
-    out = np.empty(n_req, dtype=np.int64)
-    for i in range(n_req):
-        az = np.deg2rad(req_az[i])
-        el = np.deg2rad(req_el[i])
-        c = np.cos(el)
-        rx = c * np.cos(az)
-        ry = c * np.sin(az)
-        rz = np.sin(el)
-        best = -2.0
-        best_j = 0
-        for j in range(n_base):
-            dot = rx * bx[j] + ry * by[j] + rz * bz[j]
-            if dot > best:
-                best = dot
-                best_j = j
-        out[i] = best_j
-    return out
-
-
-def _nb_nearest_value(base, req):  # pragma: no cover
-    out = np.empty(req.shape[0], dtype=np.int64)
-    for i in range(req.shape[0]):
-        best = np.inf
-        best_j = 0
-        for j in range(base.shape[0]):
-            d = abs(req[i] - base[j])
-            if d < best:
-                best = d
-                best_j = j
-        out[i] = best_j
-    return out
-
-
-def _nb_fourier_basis(order, x):  # pragma: no cover
-    out = np.empty((x.shape[0], order))
-    for i in range(x.shape[0]):
-        out[i, 0] = 1.0
-        for k in range(1, order):
-            arg = 2.0 * np.pi * ((k + 1) // 2) * x[i]
-            if k % 2 == 1:
-                out[i, k] = np.cos(arg)
-            else:
-                out[i, k] = np.sin(arg)
-    return out
-
-
-def _nb_cosine_basis(order, x):  # pragma: no cover
-    out = np.empty((x.shape[0], order))
-    for i in range(x.shape[0]):
-        for k in range(order):
-            out[i, k] = np.cos(np.pi * k * x[i])
-    return out
-
-
-# --------------------------------------------------------------------------
-# backend selection
-# --------------------------------------------------------------------------
-
-BACKENDS = {
-    "numpy": {
-        "nearest_direction": _np_nearest_direction,
-        "nearest_value": _np_nearest_value,
-        "fourier_basis": _np_fourier_basis,
-        "cosine_basis": _np_cosine_basis,
-    }
-}
-
-_flag = os.environ.get("DIRKIT_NUMBA", "auto").strip().lower()
-if _flag not in ("auto", "1", "true", "on", "0", "false", "off"):
-    raise ValueError(f"DIRKIT_NUMBA has unrecognized value {_flag!r}")
-
-_want_numba = _flag not in ("0", "false", "off")
-_numba_ok = False
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        if _flag in ("1", "true", "on"):
-            raise ImportError(
-                "DIRKIT_NUMBA requests the numba backend but numba is not installed"
-            )
-    else:
-        BACKENDS["numba"] = {
-            "nearest_direction": njit(cache=True)(_nb_nearest_direction),
-            "nearest_value": njit(cache=True)(_nb_nearest_value),
-            "fourier_basis": njit(cache=True)(_nb_fourier_basis),
-            "cosine_basis": njit(cache=True)(_nb_cosine_basis),
-        }
-        _numba_ok = True
-
-ACTIVE_BACKEND = "numba" if _numba_ok else "numpy"
-_active = BACKENDS[ACTIVE_BACKEND]
-
-
-def nearest_direction(base_az, base_el, req_az, req_el):
-    base_az = np.ascontiguousarray(base_az, dtype=np.float64)
-    base_el = np.ascontiguousarray(base_el, dtype=np.float64)
-    req_az = np.ascontiguousarray(req_az, dtype=np.float64)
-    req_el = np.ascontiguousarray(req_el, dtype=np.float64)
-    if base_az.shape[0] == 0:
-        raise ValueError("cannot search an empty direction list")
-    return _active["nearest_direction"](base_az, base_el, req_az, req_el)
-
-
-def nearest_value(base, req):
-    base = np.ascontiguousarray(base, dtype=np.float64)
-    req = np.ascontiguousarray(req, dtype=np.float64)
-    if base.shape[0] == 0:
-        raise ValueError("cannot search an empty value list")
-    return _active["nearest_value"](base, req)
-
-
-def fourier_basis(order, x):
-    if order < 1:
-        raise ValueError(f"basis order must be >= 1, got {order}")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return _active["fourier_basis"](order, x)
-
-
-def cosine_basis(order, x):
-    if order < 1:
-        raise ValueError(f"basis order must be >= 1, got {order}")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return _active["cosine_basis"](order, x)

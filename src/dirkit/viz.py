@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
+
+from .formats import _fmt
 
 SVG_COMMENT = "<!-- dirkit-svg v1 -->"
 
@@ -40,17 +41,13 @@ class PlotSeries:
         object.__setattr__(self, "y", y)
 
 
-def _num(value):
-    return format(float(value), ".17g")
-
-
 def write_csv(path, header, rows):
     """Write a CSV table; floats get 17 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             cells = [
-                cell if isinstance(cell, str) else _num(cell) for cell in row
+                cell if isinstance(cell, str) else _fmt(cell) for cell in row
             ]
             handle.write(",".join(cells) + "\n")
 
@@ -316,6 +313,9 @@ def polar_plot_svg(path, azimuths, values, *, title="", value_name="value", size
 
 def write_wav(path, samples, sample_rate):
     """Write a mono 32-bit float WAV file."""
+    # Imported here so that importing the CLI does not load scipy.io.
+    from scipy.io import wavfile
+
     samples = np.asarray(samples, dtype=np.float32)
     if samples.ndim != 1:
         raise ValueError(f"mono output needs a 1D sample array, got {samples.shape}")

@@ -1,13 +1,19 @@
 """End-to-end exercise of the command-line interface through main(argv)."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import dirkit
 from dirkit.cli import main
-from dirkit.formats import read_dird, read_dirm
+from dirkit.formats import read_dird, read_dirm, write_dird
+from dirkit.rawirs import RawIRs
 
 
 def run(argv, capsys):
@@ -97,6 +103,30 @@ def test_convert_reproduces_the_input_byte_for_byte(workspace, capsys):
     code, stdout, stderr = run(["convert", str(dird), "-o", str(out)], capsys)
     assert code == 0
     assert out.read_bytes() == dird.read_bytes()
+
+
+def test_convert_keeps_the_rows_of_coinciding_directions(tmp_path, capsys):
+    raw = RawIRs("zenith", np.arange(8.0).reshape(2, 4), 48000.0,
+                 [(0.0, 90.0), (90.0, 90.0)])
+    source, out = tmp_path / "zenith.dird", tmp_path / "copy.dird"
+    write_dird(raw, source)
+    code, _, _ = run(["convert", str(source), "-o", str(out)], capsys)
+    assert code == 0
+    np.testing.assert_array_equal(read_dird(out).irs, raw.irs)
+    assert out.read_bytes() == source.read_bytes()
+
+
+def test_cli_import_does_not_load_scipy_io():
+    # WAV output imports scipy.io on demand; other commands never pay for it.
+    src = str(Path(dirkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dirkit.cli; print('scipy.io' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # -- spectrum ----------------------------------------------------------------

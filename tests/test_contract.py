@@ -14,6 +14,8 @@ from dirkit import (
     synth_test_set,
 )
 
+SEED = 20240813
+
 SPEC = SynthSpec(mode="lowpass", azimuth_step=30.0, elevation_step=15.0,
                  elevation_limits=(-30.0, 30.0), length=32)
 
@@ -85,14 +87,31 @@ def test_immutable_surface(obj):
         obj.supported_datatypes = frozenset()
 
 
+def _random_requests(count, seed=SEED):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_dirs = int(rng.integers(1, 5))
+        yield CoordinateSet(
+            directions=list(zip(rng.uniform(-30, 390, n_dirs),
+                                rng.uniform(-90, 90, n_dirs))),
+            frequencies=np.unique(rng.uniform(0, 30000, 3)),
+            distances=np.unique(rng.uniform(0.1, 3.0, 2)),
+        )
+
+
 def test_actual_coords_are_a_coercion_fixed_point(obj):
     datatype = _any_supported(obj)
-    volume = obj.get_data_matrix(_probe_request(obj), datatype)
+    request = _probe_request(obj)
+    volume = obj.get_data_matrix(request, datatype)
     again = coerce(obj.coords, volume.coords)
     assert not again.changed
     assert again.coords.directions == volume.coords.directions
     assert again.coords.frequencies == volume.coords.frequencies
     assert again.coords.distances == volume.coords.distances
+    # Reads land exactly where coerce_onto says they will.
+    for request in [request, *_random_requests(20)]:
+        volume = obj.get_data_matrix(request, datatype)
+        assert volume.coords == obj.coerce_onto(request).coords
 
 
 def test_reading_at_actual_coords_returns_identical_values(obj):

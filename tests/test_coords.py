@@ -13,6 +13,9 @@ from dirkit import (
     interaural_to_spherical,
     spherical_to_interaural,
 )
+from dirkit.coords import discrete_read_indices
+from dirkit.formats import read_dird, write_dird
+from dirkit.rawirs import RawIRs
 
 SEED = 20240811
 
@@ -25,6 +28,17 @@ def test_azimuth_wraps_into_range():
     assert Direction(360.0, 0.0).azimuth == 0.0
     assert Direction(-90.0, 0.0).azimuth == 270.0
     assert Direction(725.0, 0.0).azimuth == 5.0
+
+
+@pytest.mark.parametrize("azimuth", [-1e-20, -1e-300, -5e-324, -0.0])
+def test_tiny_negative_azimuth_wraps_to_zero(tmp_path, azimuth):
+    # In floating point, azimuth % 360 is 360.0 for these values.
+    direction = Direction(azimuth, 0.0)
+    assert direction.azimuth == 0.0
+    raw = RawIRs("wrap", np.ones((2, 4)), 48000.0, [direction, (90.0, 0.0)])
+    path = tmp_path / "wrap.dird"
+    write_dird(raw, path)
+    assert read_dird(path).coords == raw.coords
 
 
 @pytest.mark.parametrize("elevation", [-90.0001, 90.0001, 180.0])
@@ -197,6 +211,28 @@ def test_coercion_keeps_requested_flags_and_may_duplicate():
     result = coerce(base, requested)
     assert result.coords.continuity.frequency
     assert result.coords.frequencies == (1000.0, 1000.0)
+
+
+def test_read_indices_clamp_continuous_dimensions_like_coerce():
+    stored = CoordinateSet(
+        directions=(-40.0, 60.0),
+        frequencies=(100.0, 8000.0),
+        distances=(1.0, 2.0),
+        continuity=Continuity(True, True, False),
+    )
+    requested = CoordinateSet(
+        directions=[(10.0, 75.0), (200.0, -5.0)],
+        frequencies=(50.0, 440.0, 9000.0),
+        distances=(1.2, 1.9),
+    )
+    d_idx, f_idx, r_idx, actual = discrete_read_indices(stored, requested)
+    assert d_idx is None and f_idx is None
+    assert list(r_idx) == [0, 1]
+    assert actual.directions == (Direction(10.0, 60.0), Direction(200.0, -5.0))
+    assert actual.frequencies == (100.0, 440.0, 8000.0)
+    assert actual.distances == (1.0, 2.0)
+    assert actual.is_discrete
+    assert actual == coerce(stored, requested).coords
 
 
 # --------------------------------------------------------------------------

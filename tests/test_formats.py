@@ -76,6 +76,18 @@ def test_dird_second_write_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_dird_keeps_the_rows_of_coinciding_directions(tmp_path):
+    # (0, 90) and (90, 90) are one point on the sphere; a nearest-direction
+    # read would send both rows to the first one's samples.
+    raw = RawIRs("zenith", np.arange(8.0).reshape(2, 4), 48000.0,
+                 [(0.0, 90.0), (90.0, 90.0)])
+    path = tmp_path / "zenith.dird"
+    write_dird(raw, path)
+    back = read_dird(path)
+    np.testing.assert_array_equal(back.irs, raw.irs)
+    assert back.coords == raw.coords
+
+
 def test_info_escaping_round_trips(tmp_path):
     rng = np.random.default_rng(SEED + 2)
     for info in ("", "plain", "two\nlines", "back\\slash", "mix\\n\n\\\\end"):

@@ -1,15 +1,9 @@
-"""Numeric kernels: backend parity and closed-form oracles."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels against brute-force and closed-form oracles."""
 
 import numpy as np
 import pytest
 
 from dirkit.kernels import (
-    ACTIVE_BACKEND,
-    BACKENDS,
     cosine_basis,
     fourier_basis,
     nearest_direction,
@@ -17,8 +11,6 @@ from dirkit.kernels import (
 )
 
 SEED = 20240812
-
-BACKEND_NAMES = sorted(BACKENDS)
 
 
 def _random_directions(rng, n):
@@ -43,24 +35,20 @@ def _angle_matrix(base_az, base_el, req_az, req_el):
 # nearest_direction
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_nearest_direction_matches_brute_force(backend):
+def test_nearest_direction_matches_brute_force():
     rng = np.random.default_rng(SEED)
     base_az, base_el = _random_directions(rng, 50)
     req_az, req_el = _random_directions(rng, 80)
-    fn = BACKENDS[backend]["nearest_direction"]
-    idx = fn(base_az, base_el, req_az, req_el)
+    idx = nearest_direction(base_az, base_el, req_az, req_el)
     expected = np.argmin(_angle_matrix(base_az, base_el, req_az, req_el), axis=1)
-    assert np.array_equal(np.asarray(idx), expected)
+    assert np.array_equal(idx, expected)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_nearest_direction_tie_takes_first_index(backend):
+def test_nearest_direction_tie_takes_first_index():
     base_az = np.array([10.0, 10.0, 200.0])
     base_el = np.array([5.0, 5.0, 0.0])
-    fn = BACKENDS[backend]["nearest_direction"]
-    idx = fn(base_az, base_el, np.array([10.0]), np.array([5.0]))
-    assert int(np.asarray(idx)[0]) == 0
+    idx = nearest_direction(base_az, base_el, np.array([10.0]), np.array([5.0]))
+    assert int(idx[0]) == 0
 
 
 def test_nearest_direction_antipodal_midpoint_resolved_consistently():
@@ -82,22 +70,18 @@ def test_nearest_direction_empty_base_rejected():
 # nearest_value
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_nearest_value_matches_brute_force(backend):
+def test_nearest_value_matches_brute_force():
     rng = np.random.default_rng(SEED + 1)
     base = np.sort(rng.uniform(0, 20000, 30))
     req = rng.uniform(-1000, 25000, 100)
-    fn = BACKENDS[backend]["nearest_value"]
-    idx = np.asarray(fn(base, req))
+    idx = nearest_value(base, req)
     expected = np.argmin(np.abs(req[:, None] - base[None, :]), axis=1)
     assert np.array_equal(idx, expected)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_nearest_value_tie_takes_first_index(backend):
+def test_nearest_value_tie_takes_first_index():
     base = np.array([100.0, 200.0])
-    fn = BACKENDS[backend]["nearest_value"]
-    idx = np.asarray(fn(base, np.array([150.0])))
+    idx = nearest_value(base, np.array([150.0]))
     assert int(idx[0]) == 0
 
 
@@ -128,21 +112,19 @@ def _cosine_oracle(order, x):
     return np.stack([np.cos(k * np.pi * x) for k in range(order)], axis=1)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
-def test_fourier_basis_matches_formula(backend, order):
+def test_fourier_basis_matches_formula(order):
     rng = np.random.default_rng(SEED + 2)
     x = rng.uniform(0, 1, 40)
-    got = np.asarray(BACKENDS[backend]["fourier_basis"](order, x))
+    got = fourier_basis(order, x)
     np.testing.assert_allclose(got, _fourier_oracle(order, x), atol=1e-14)
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("order", [1, 2, 5, 8])
-def test_cosine_basis_matches_formula(backend, order):
+def test_cosine_basis_matches_formula(order):
     rng = np.random.default_rng(SEED + 3)
     x = rng.uniform(0, 1, 40)
-    got = np.asarray(BACKENDS[backend]["cosine_basis"](order, x))
+    got = cosine_basis(order, x)
     np.testing.assert_allclose(got, _cosine_oracle(order, x), atol=1e-14)
 
 
@@ -162,64 +144,3 @@ def test_non_positive_order_rejected(order):
         fourier_basis(order, np.array([0.0]))
     with pytest.raises(ValueError):
         cosine_basis(order, np.array([0.0]))
-
-
-# --------------------------------------------------------------------------
-# backend parity and selection flag
-# --------------------------------------------------------------------------
-
-@pytest.mark.skipif("numba" not in BACKENDS, reason="numba backend unavailable")
-def test_backends_agree_on_random_inputs():
-    rng = np.random.default_rng(SEED + 4)
-    base_az, base_el = _random_directions(rng, 25)
-    req_az, req_el = _random_directions(rng, 40)
-    values = np.sort(rng.uniform(0, 24000, 20))
-    queries = rng.uniform(0, 24000, 33)
-    x = rng.uniform(0, 1, 17)
-
-    np_b, nb_b = BACKENDS["numpy"], BACKENDS["numba"]
-    assert np.array_equal(
-        np.asarray(np_b["nearest_direction"](base_az, base_el, req_az, req_el)),
-        np.asarray(nb_b["nearest_direction"](base_az, base_el, req_az, req_el)),
-    )
-    assert np.array_equal(
-        np.asarray(np_b["nearest_value"](values, queries)),
-        np.asarray(nb_b["nearest_value"](values, queries)),
-    )
-    np.testing.assert_allclose(
-        np.asarray(np_b["fourier_basis"](7, x)),
-        np.asarray(nb_b["fourier_basis"](7, x)),
-        atol=1e-13,
-    )
-    np.testing.assert_allclose(
-        np.asarray(np_b["cosine_basis"](7, x)),
-        np.asarray(nb_b["cosine_basis"](7, x)),
-        atol=1e-13,
-    )
-
-
-def test_active_backend_is_registered():
-    assert ACTIVE_BACKEND in BACKENDS
-
-
-def _active_backend_under(flag):
-    env = dict(os.environ, DIRKIT_NUMBA=flag)
-    out = subprocess.run(
-        [sys.executable, "-c", "from dirkit.kernels import ACTIVE_BACKEND; print(ACTIVE_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return out
-
-
-def test_flag_forces_numpy_backend():
-    out = _active_backend_under("0")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_flag_rejects_unknown_value():
-    out = _active_backend_under("maybe")
-    assert out.returncode != 0
-    assert "DIRKIT_NUMBA" in out.stderr
