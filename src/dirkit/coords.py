@@ -9,8 +9,10 @@ Conventions used across the whole package:
     right ear; polar in [0, 360), 0 toward the front, +90 toward zenith
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -179,13 +181,42 @@ class CoordinateSet:
     def azimuth_array(self):
         if self.continuity.direction:
             raise ValueError("continuous direction set has no azimuth list")
-        return np.array([d.azimuth for d in self.directions], dtype=np.float64)
+        return self._azimuths.copy()
 
     @property
     def elevation_array(self):
         if self.continuity.direction:
             raise ValueError("continuous direction set has no elevation list")
+        return self._elevations.copy()
+
+    # Cached on first use; never built by __post_init__, so sets that are
+    # only requested pay nothing for them.
+
+    @cached_property
+    def _azimuths(self):
+        return np.array([d.azimuth for d in self.directions], dtype=np.float64)
+
+    @cached_property
+    def _elevations(self):
         return np.array([d.elevation for d in self.directions], dtype=np.float64)
+
+    @cached_property
+    def _direction_table(self):
+        """Direction key -> stored index, the first index on a repeated key.
+
+        A key whose direction is crowded by another stored one is left
+        out, so requests there take the search and keep its answer.
+        """
+        first = {}
+        for i, key in enumerate(_direction_keys(self._azimuths, self._elevations)):
+            first.setdefault(key, i)
+        rows = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+        crowded = kernels.crowded_directions(
+            self._azimuths[rows], self._elevations[rows]
+        )
+        return {
+            key: i for (key, i), c in zip(first.items(), crowded.tolist()) if not c
+        }
 
     @property
     def frequency_array(self):
@@ -194,6 +225,12 @@ class CoordinateSet:
     @property
     def distance_array(self):
         return np.array(self.distances, dtype=np.float64)
+
+
+def _direction_keys(azimuths, elevations):
+    """Exact-match keys (azimuth, elevation); every azimuth at a pole is one point."""
+    at_pole = np.abs(elevations) == 90.0
+    return zip(np.where(at_pole, 0.0, azimuths).tolist(), elevations.tolist())
 
 
 class CoercionResult(NamedTuple):
@@ -213,13 +250,22 @@ def _snap_directions(base, requested):
             Direction(d.azimuth, min(max(d.elevation, lo), hi))
             for d in requested.directions
         )
-    idx = kernels.nearest_direction(
-        base.azimuth_array,
-        base.elevation_array,
-        requested.azimuth_array,
-        requested.elevation_array,
+    # Requests at a stored direction are looked up; only the rest are
+    # searched. Both give the index the search alone would.
+    table = base._direction_table
+    req_az, req_el = requested._azimuths, requested._elevations
+    idx = np.fromiter(
+        map(table.get, _direction_keys(req_az, req_el), itertools.repeat(-1)),
+        dtype=np.int64,
+        count=len(req_az),
     )
-    return idx, tuple(base.directions[i] for i in idx)
+    misses = np.flatnonzero(idx < 0)
+    # An empty stored list goes to the search too, which rejects it.
+    if misses.size or not base.directions:
+        idx[misses] = kernels.nearest_direction(
+            base._azimuths, base._elevations, req_az[misses], req_el[misses]
+        )
+    return idx, tuple(base.directions[i] for i in idx.tolist())
 
 
 def _snap_values(base_vals, base_continuous, req_vals):
@@ -333,6 +379,13 @@ def expand_grid(cs):
 _POLE_TOL = 1e-12
 
 
+def _wrap_degrees(angle):
+    """Angle in [0, 360); a tiny negative angle % 360 is 360.0 in floating
+    point, which maps to 0.0, as in Direction."""
+    wrapped = np.asarray(angle) % 360.0
+    return np.where(wrapped == 360.0, 0.0, wrapped)
+
+
 def spherical_to_interaural(azimuth, elevation):
     """Vertical-polar (azimuth, elevation) to interaural-polar (polar, lateral).
 
@@ -344,7 +397,7 @@ def spherical_to_interaural(azimuth, elevation):
     x, y, z = kernels._unit_vectors(azimuth, elevation)
     xr, yr, zr = x, z, -y
     lateral = np.degrees(np.arcsin(np.clip(zr, -1.0, 1.0)))
-    polar = np.degrees(np.arctan2(yr, xr)) % 360.0
+    polar = _wrap_degrees(np.degrees(np.arctan2(yr, xr)))
     polar = np.where(xr * xr + yr * yr < _POLE_TOL * _POLE_TOL, 0.0, polar)
     if np.isscalar(azimuth) and np.isscalar(elevation):
         return float(polar), float(lateral)
@@ -356,7 +409,7 @@ def interaural_to_spherical(polar, lateral):
     xr, yr, zr = kernels._unit_vectors(polar, lateral)
     x, y, z = xr, -zr, yr
     elevation = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(y, x)) % 360.0
+    azimuth = _wrap_degrees(np.degrees(np.arctan2(y, x)))
     azimuth = np.where(x * x + y * y < _POLE_TOL * _POLE_TOL, 0.0, azimuth)
     if np.isscalar(polar) and np.isscalar(lateral):
         return float(azimuth), float(elevation)

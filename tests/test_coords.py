@@ -13,6 +13,7 @@ from dirkit import (
     interaural_to_spherical,
     spherical_to_interaural,
 )
+from dirkit import kernels
 from dirkit.coords import discrete_read_indices
 from dirkit.formats import read_dird, write_dird
 from dirkit.rawirs import RawIRs
@@ -235,6 +236,92 @@ def test_read_indices_clamp_continuous_dimensions_like_coerce():
     assert actual == coerce(stored, requested).coords
 
 
+def _elevation_limits_request(lo, hi):
+    return CoordinateSet(
+        directions=(lo, hi), frequencies=(100.0,), continuity=Continuity(direction=True)
+    )
+
+
+def test_elevation_limits_snap_onto_an_unsorted_grid():
+    base = CoordinateSet(
+        directions=[(0, 30), (10, -20), (20, 10), (30, 0)], frequencies=(100.0,)
+    )
+    result = coerce(base, _elevation_limits_request(-15.0, 25.0))
+    assert result.coords.directions == (-20.0, 30.0)
+
+
+def test_elevation_limit_tie_goes_to_the_elevation_stored_first():
+    # 15 is 5 deg from both stored elevations; the row stored first wins.
+    for stored, expected in (([(0, 20), (0, 10)], 20.0), ([(0, 10), (0, 20)], 10.0)):
+        base = CoordinateSet(directions=stored, frequencies=(100.0,))
+        result = coerce(base, _elevation_limits_request(15.0, 15.0))
+        assert result.coords.directions == (expected, expected)
+
+
+def _pole_grid():
+    # 10-degree grid over the whole sphere: 36 copies of each pole.
+    return CoordinateSet(
+        directions=[
+            (az, el) for el in range(-90, 91, 10) for az in range(0, 360, 10)
+        ],
+        frequencies=(100.0,),
+    )
+
+
+def test_reads_at_a_pole_land_on_its_first_stored_row():
+    stored = _pole_grid()
+    requested = CoordinateSet(
+        directions=[(123.0, 90.0), (250.0, 90.0), (5.0, -90.0), (40.0, 0.0)],
+        frequencies=(100.0,),
+    )
+    d_idx, _, _, actual = discrete_read_indices(stored, requested)
+    first_zenith = stored.directions.index(Direction(0.0, 90.0))
+    ring = stored.directions.index(Direction(40.0, 0.0))
+    assert list(d_idx) == [first_zenith, first_zenith, 0, ring]
+    assert actual.directions[0] == Direction(0.0, 90.0)
+
+
+def test_on_grid_reads_do_not_search(monkeypatch):
+    stored = _pole_grid()
+    calls = []
+    original = kernels.nearest_direction
+    monkeypatch.setattr(
+        kernels,
+        "nearest_direction",
+        lambda *args: calls.append(len(args[2])) or original(*args),
+    )
+    d_idx, _, _, _ = discrete_read_indices(stored, stored)
+    assert calls == []
+    off_grid = CoordinateSet(
+        directions=list(stored.directions[:5]) + [(3.0, 4.0)], frequencies=(100.0,)
+    )
+    d_idx, _, _, _ = discrete_read_indices(stored, off_grid)
+    assert calls == [1]
+    assert list(d_idx) == [0, 0, 0, 0, 0, stored.directions.index(Direction(0.0, 0.0))]
+
+
+def test_crowded_directions_keep_the_search_answer():
+    # Closer than the search's rounding can tell apart: the first one wins,
+    # also for a request at the second, as in the search.
+    stored = CoordinateSet(
+        directions=[(0.0, 0.0), (1e-10, 0.0), (90.0, 0.0)], frequencies=(100.0,)
+    )
+    requested = CoordinateSet(directions=[(1e-10, 0.0), (90.0, 0.0)], frequencies=(100.0,))
+    d_idx, _, _, _ = discrete_read_indices(stored, requested)
+    assert list(d_idx) == [0, 2]
+
+
+def test_direction_arrays_are_fresh_copies():
+    cs = CoordinateSet(directions=[(10.0, 20.0), (30.0, -40.0)], frequencies=(100.0,))
+    assert "_direction_table" not in vars(cs)
+    cs.azimuth_array[:] = 0.0
+    cs.elevation_array[:] = 0.0
+    np.testing.assert_array_equal(cs.azimuth_array, [10.0, 30.0])
+    np.testing.assert_array_equal(cs.elevation_array, [20.0, -40.0])
+    d_idx, _, _, _ = discrete_read_indices(cs, cs)
+    assert list(d_idx) == [0, 1]
+
+
 # --------------------------------------------------------------------------
 # grid expansion
 # --------------------------------------------------------------------------
@@ -358,6 +445,19 @@ def test_ear_axis_pole_returns_polar_zero():
         polar, lateral = spherical_to_interaural(azimuth, 0.0)
         assert polar == 0.0
         assert abs(lateral) == pytest.approx(90.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tiny", [1e-20, 1e-300, 5e-324])
+def test_conversions_wrap_tiny_negative_angles_to_zero(tiny):
+    # arctan2 gives -tiny degrees, and -tiny % 360 is 360.0 in floating point.
+    azimuth, _ = interaural_to_spherical(0.0, tiny)
+    polar, _ = spherical_to_interaural(0.0, -tiny)
+    assert (azimuth, polar) == (0.0, 0.0)
+    azimuths, _ = interaural_to_spherical(np.array([0.0, 10.0]), np.array([tiny, 0.0]))
+    polars, _ = spherical_to_interaural(np.array([0.0, 30.0]), np.array([-tiny, 0.0]))
+    assert np.all((azimuths >= 0.0) & (azimuths < 360.0))
+    assert np.all((polars >= 0.0) & (polars < 360.0))
+    assert azimuths[0] == 0.0 and polars[0] == 0.0
 
 
 def test_vectorized_conversion_matches_scalar():

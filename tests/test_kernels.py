@@ -1,5 +1,7 @@
 """Numeric kernels against brute-force and closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,20 @@ def test_nearest_direction_empty_base_rejected():
         nearest_direction(
             np.array([]), np.array([]), np.array([0.0]), np.array([0.0])
         )
+
+
+def test_nearest_direction_memory_stays_bounded():
+    # A full 4000 x 4000 dot-product matrix would take 128 MB per temporary.
+    rng = np.random.default_rng(SEED + 4)
+    base_az, base_el = _random_directions(rng, 4000)
+    req_az, req_el = _random_directions(rng, 4000)
+    tracemalloc.start()
+    try:
+        nearest_direction(base_az, base_el, req_az, req_el)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # --------------------------------------------------------------------------

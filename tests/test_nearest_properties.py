@@ -1,0 +1,167 @@
+"""Nearest lookups against brute-force oracles, over generated inputs.
+
+The oracles scan every stored entry with the same floating-point
+formulas as the search, so indices must agree exactly, ties included.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dirkit import kernels
+from dirkit.coords import CoordinateSet, Direction, discrete_read_indices
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+azimuths = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
+elevations = st.one_of(
+    st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),
+    st.sampled_from([-90.0, 90.0, 0.0, -0.0, 45.0]),
+)
+directions = st.tuples(azimuths, elevations)
+
+
+def _direction_oracle(base_az, base_el, req_az, req_el):
+    """First index of the largest unit-vector dot product, one pair at a time."""
+    def units(az, el):
+        az = np.deg2rad(np.asarray(az, dtype=np.float64))
+        el = np.deg2rad(np.asarray(el, dtype=np.float64))
+        return np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)
+
+    bx, by, bz = units(base_az, base_el)
+    rx, ry, rz = units(req_az, req_el)
+    out = []
+    for x, y, z in zip(rx, ry, rz):
+        dots = x * bx + y * by + z * bz
+        out.append(int(np.argmax(dots)))
+    return out
+
+
+def _value_oracle(base, req):
+    return [int(np.argmin(np.abs(r - base))) for r in req]
+
+
+# --------------------------------------------------------------------------
+# kernels.nearest_direction
+# --------------------------------------------------------------------------
+
+@PROPERTY
+@given(
+    base=st.lists(directions, min_size=1, max_size=40),
+    extra=st.lists(directions, max_size=20),
+    copies=st.lists(st.integers(min_value=0, max_value=39), max_size=10),
+    chunk=st.integers(min_value=1, max_value=200),
+)
+def test_nearest_direction_matches_oracle(base, extra, copies, chunk):
+    # Requests: stored directions (exact ties with themselves and with any
+    # repeated entry), both poles at arbitrary azimuths, and free ones.
+    # A small chunk size makes the requests span several chunks.
+    base = base + [base[i % len(base)] for i in copies]
+    requests = base + extra + [(a, 90.0) for a, _ in extra] + [(a, -90.0) for a, _ in extra]
+    base_az, base_el = (np.array(v, dtype=np.float64) for v in zip(*base))
+    req_az, req_el = (np.array(v, dtype=np.float64) for v in zip(*requests))
+    with mock.patch.object(kernels, "_CHUNK_ELEMENTS", chunk):
+        got = kernels.nearest_direction(base_az, base_el, req_az, req_el)
+    assert got.dtype == np.int64
+    assert got.tolist() == _direction_oracle(base_az, base_el, req_az, req_el)
+
+
+def test_nearest_direction_crosses_chunk_boundaries_at_full_size():
+    rng = np.random.default_rng(20240813)
+    base_az, base_el = rng.uniform(0, 360, 3000), rng.uniform(-90, 90, 3000)
+    # 2**18 // 3000 = 87 requests per chunk; 400 requests fill 5 chunks.
+    req_az = np.concatenate([base_az[:200], rng.uniform(0, 360, 200)])
+    req_el = np.concatenate([base_el[:200], rng.uniform(-90, 90, 200)])
+    got = kernels.nearest_direction(base_az, base_el, req_az, req_el)
+    assert got.tolist() == _direction_oracle(base_az, base_el, req_az, req_el)
+    assert got[:200].tolist() == list(range(200))
+
+
+# --------------------------------------------------------------------------
+# kernels.nearest_value
+# --------------------------------------------------------------------------
+
+@PROPERTY
+@given(
+    base=st.lists(finite, min_size=1, max_size=30),
+    free=st.lists(finite, max_size=30),
+)
+def test_nearest_value_matches_oracle(base, free):
+    # Any order, repeats allowed; requests at every stored value, at every
+    # midpoint between neighbouring values, and anywhere, in range or not.
+    base = np.array(base, dtype=np.float64)
+    ordered = np.sort(base)
+    midpoints = ordered[:-1] / 2 + ordered[1:] / 2
+    req = np.concatenate([base, midpoints, np.array(free, dtype=np.float64)])
+    with np.errstate(over="ignore"):  # gaps between huge values may overflow
+        got = kernels.nearest_value(base, req)
+        expected = _value_oracle(base, req)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+def test_nearest_value_far_requests_tie_to_the_first_index():
+    # 1e20 - 1 and 1e20 - 2 round to the same value: the first index wins.
+    base = np.array([1.0, 2.0, 1e30])
+    req = np.array([1e20, -1e20, 1e31])
+    assert kernels.nearest_value(base, req).tolist() == [0, 0, 2]
+
+
+# --------------------------------------------------------------------------
+# reads through the exact-match table
+# --------------------------------------------------------------------------
+
+def _unique_directions(pairs):
+    seen = {}
+    for az, el in pairs:
+        d = Direction(az, el)
+        seen.setdefault((d.azimuth, d.elevation), d)
+    return list(seen.values())
+
+
+@PROPERTY
+@given(
+    az_step=st.sampled_from([30.0, 45.0, 60.0, 90.0, 120.0]),
+    el_step=st.sampled_from([30.0, 45.0, 90.0]),
+    extra=st.lists(directions, max_size=15),
+    picks=st.lists(st.integers(min_value=0, max_value=10_000), max_size=20),
+    free=st.lists(directions, max_size=15),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_reads_at_a_grid_with_pole_duplicates_match_oracle(
+    az_step, el_step, extra, picks, free, shuffle
+):
+    # A full-sphere grid stores each pole once per azimuth; extra stored
+    # directions may sit arbitrarily close to grid points.
+    grid = [
+        (az, el)
+        for el in np.arange(-90.0, 90.0 + el_step, el_step)
+        for az in np.arange(0.0, 360.0, az_step)
+    ]
+    stored_dirs = _unique_directions(grid + extra)
+    shuffle.shuffle(stored_dirs)
+    stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
+    request_dirs = (
+        [stored_dirs[i % len(stored_dirs)] for i in picks]
+        + [(a, 90.0) for a, _ in free]
+        + [(a, -90.0) for a, _ in free]
+        + free
+    )
+    requested = CoordinateSet._unchecked(
+        [Direction(*d) if isinstance(d, tuple) else d for d in request_dirs],
+        (100.0,),
+        (1.0,),
+        stored.continuity,
+    )
+    d_idx, _, _, actual = discrete_read_indices(stored, requested)
+    expected = _direction_oracle(
+        stored.azimuth_array,
+        stored.elevation_array,
+        requested.azimuth_array,
+        requested.elevation_array,
+    )
+    assert d_idx.tolist() == expected
+    assert actual.directions == tuple(stored_dirs[i] for i in expected)
