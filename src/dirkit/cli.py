@@ -233,12 +233,13 @@ def cmd_diff(args):
 def cmd_sweep(args):
     reference = _load(args.reference)
     family = BasisFamily.parse(args.family)
-    probe = fit_basis_model("", reference, family, 1, None)
-    at = _comparison_coords(reference, probe)
+    model = fit_basis_model("", reference, family, 1, None)
+    at = _comparison_coords(reference, model)
     orders = np.arange(1, args.max_order + 1)
     errors = []
     for order in orders:
-        model = fit_basis_model("", reference, family, int(order), None)
+        if order > 1:
+            model = fit_basis_model("", reference, family, int(order), None)
         diff = DirectivityDiff("", reference, model, at, DataType.LINEAR_MAGNITUDE)
         errors.append(diff.compute_mse())
     series = PlotSeries("mse", orders.astype(float), np.array(errors))

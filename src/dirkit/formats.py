@@ -8,7 +8,8 @@ number. Layouts:
 DIRD:
     DIRD 1
     fs <Hz> D <int> L <int> R <int>
-    info <escaped-string>          (newline -> \\n, backslash -> \\\\)
+    info <escaped-string>          (newline -> \\n, carriage return -> \\r,
+                                    backslash -> \\\\)
     dist <R distances>
     dir <azimuth> <elevation>      x D
     ir <L samples>                 x D*R, distance slow, direction fast
@@ -24,6 +25,7 @@ DIRM:
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -31,35 +33,41 @@ from .basis import BasisFamily, BasisSpectrumModel
 from .errors import FormatError
 from .rawirs import RawIRs
 
+# Header layouts as ((key, kind), ...) in file order; the writers and the
+# readers both work from these.
+_DIRD_HEADER = (("fs", float), ("D", int), ("L", int), ("R", int))
+_DIRM_HEADER = (
+    ("family", str), ("K", int), ("fmin", float), ("fmax", float),
+    ("N", int), ("D", int), ("R", int),
+)
+
+# Escapes that keep an info string on its one line.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {code[1]: chr(char) for char, code in _ESCAPES.items()}
+
 
 def _fmt(value):
     return format(float(value), ".17g")
 
 
+def _line(keyword, values):
+    """A numeric line: `keyword`, then every value to 17 significant digits."""
+    return f"{keyword}{' %.17g' * len(values) % tuple(values)}\n"
+
+
 def _escape(text):
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
+    return text.translate(_ESCAPES)
 
 
 def _unescape(path, text, line_no):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
-            raise FormatError(path, "dangling backslash in info string", line=line_no)
-        nxt = text[i + 1]
-        if nxt == "n":
-            out.append("\n")
-        elif nxt == "\\":
-            out.append("\\")
-        else:
-            raise FormatError(path, f"unknown escape \\{nxt} in info string", line=line_no)
-        i += 2
-    return "".join(out)
+    def replace(match):
+        code = match.group(1)
+        if code not in _UNESCAPES:
+            what = f"unknown escape \\{code}" if code else "dangling backslash"
+            raise FormatError(path, f"{what} in info string", line=line_no)
+        return _UNESCAPES[code]
+
+    return re.sub(r"\\(.?)", replace, text)
 
 
 class _LineReader:
@@ -78,6 +86,31 @@ class _LineReader:
         line = self.lines[self.pos]
         self.pos += 1
         return line, self.pos
+
+    def info(self):
+        line, no = self.next("the info line")
+        if line == "info":
+            return ""
+        if not line.startswith("info "):
+            raise FormatError(self.path, "expected an 'info' line", line=no)
+        return _unescape(self.path, line[len("info "):], no)
+
+    def values(self, expected, keyword, count, what):
+        """Read the `expected` line: `keyword`, then `count` finite `what` values."""
+        line, no = self.next(expected)
+        tokens = line.split(" ")
+        if tokens[0] != keyword:
+            raise FormatError(
+                self.path, f"expected a '{keyword}' line, got {tokens[0]!r}", line=no
+            )
+        values = [_parse_float(self.path, t, no, what) for t in tokens[1:]]
+        if len(values) != count:
+            raise FormatError(
+                self.path,
+                f"'{keyword}' line carries {len(values)} values, expected {count}",
+                line=no,
+            )
+        return values
 
     def finish(self):
         if self.pos != len(self.lines):
@@ -103,22 +136,6 @@ def _parse_int(path, token, line_no, what):
         raise FormatError(path, f"bad {what} count {token!r}", line=line_no) from None
 
 
-def _values_line(path, line, line_no, keyword, count, what):
-    tokens = line.split(" ")
-    if tokens[0] != keyword:
-        raise FormatError(
-            path, f"expected a '{keyword}' line, got {tokens[0]!r}", line=line_no
-        )
-    values = [_parse_float(path, t, line_no, what) for t in tokens[1:]]
-    if len(values) != count:
-        raise FormatError(
-            path,
-            f"'{keyword}' line carries {len(values)} values, expected {count}",
-            line=line_no,
-        )
-    return values
-
-
 def _header_fields(path, line, line_no, spec):
     """Parse 'key value' pairs laid out per `spec` = ((key, kind), ...)."""
     tokens = line.split(" ")
@@ -135,31 +152,65 @@ def _header_fields(path, line, line_no, spec):
                 path, f"expected header field '{key}', got {tokens[2 * i]!r}", line=line_no
             )
         raw = tokens[2 * i + 1]
-        if kind == "int":
+        if kind is int:
             out[key] = _parse_int(path, raw, line_no, key)
-        elif kind == "float":
+        elif kind is float:
             out[key] = _parse_float(path, raw, line_no, key)
         else:
             out[key] = raw
     return out
 
 
-def _info_line(path, line, line_no):
-    if line == "info":
-        return ""
-    if not line.startswith("info "):
-        raise FormatError(path, "expected an 'info' line", line=line_no)
-    return _unescape(path, line[len("info "):], line_no)
+def _read_preamble(path, signature, spec):
+    """Check the signature and parse the header per `spec`; returns the
+    line reader, the header fields and the header's line number."""
+    with open(path, "r", encoding="utf-8") as handle:
+        reader = _LineReader(path, handle.read())
+    line, no = reader.next(f"the {signature!r} signature")
+    if line != signature:
+        raise FormatError(path, f"bad signature {line!r}, expected {signature!r}", line=no)
+    line, no = reader.next("the header line")
+    return reader, _header_fields(path, line, no, spec), no
 
 
-def _write_info(handle, info):
+def _read_body(reader, d_count, r_count, expected, keyword, width, what):
+    """Read D direction lines, then D*R `keyword` rows of `width` values
+    (distance slow, direction fast) that end the file, as a (D, width, R) array."""
+    directions = [
+        tuple(reader.values("a direction line", "dir", 2, "angle")) for _ in range(d_count)
+    ]
+    rows = np.empty((d_count, width, r_count))
+    for r in range(r_count):
+        for d in range(d_count):
+            rows[d, :, r] = reader.values(expected, keyword, width, what)
+    reader.finish()
+    return directions, rows
+
+
+def _write_preamble(handle, signature, spec, header, info):
+    """Write the signature, the header per `spec` from the `header` dict,
+    and the escaped info line."""
+    fields = (
+        f"{key} {_fmt(header[key]) if kind is float else header[key]}" for key, kind in spec
+    )
     escaped = _escape(info)
+    handle.write(f"{signature}\n{' '.join(fields)}\n")
     handle.write(f"info {escaped}\n" if escaped else "info\n")
 
 
-def _wrap_build_error(path, builder):
+def _write_body(handle, directions, keyword, rows):
+    """Write the direction lines, then the (D, W, R) `rows` as D*R `keyword`
+    lines (distance slow, direction fast)."""
+    for direction in directions:
+        handle.write(_line("dir", (direction.azimuth, direction.elevation)))
+    for r in range(rows.shape[2]):
+        for d in range(rows.shape[0]):
+            handle.write(_line(keyword, rows[d, :, r].tolist()))
+
+
+def _build(path, cls, *args):
     try:
-        return builder()
+        return cls(*args)
     except ValueError as exc:
         raise FormatError(path, f"inconsistent contents: {exc}") from exc
 
@@ -177,57 +228,27 @@ def write_dird(raw, path):
     """
     coords = raw.coords
     d_count, _, r_count = coords.shape
-    length = raw.ir_length
-    irs = raw.irs
+    header = {"fs": raw.sample_rate, "D": d_count, "L": raw.ir_length, "R": r_count}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("DIRD 1\n")
-        handle.write(
-            f"fs {_fmt(raw.sample_rate)} D {d_count} L {length} R {r_count}\n"
-        )
-        _write_info(handle, raw.info)
-        handle.write("dist " + " ".join(_fmt(v) for v in coords.distances) + "\n")
-        for direction in coords.directions:
-            handle.write(f"dir {_fmt(direction.azimuth)} {_fmt(direction.elevation)}\n")
-        for r in range(r_count):
-            for d in range(d_count):
-                handle.write("ir " + " ".join(_fmt(v) for v in irs[d, :, r]) + "\n")
+        _write_preamble(handle, "DIRD 1", _DIRD_HEADER, header, raw.info)
+        handle.write(_line("dist", coords.distances))
+        _write_body(handle, coords.directions, "ir", raw.irs)
 
 
 def read_dird(path):
     """Parse a DIRD file back into a RawIRs object."""
-    with open(path, "r", encoding="utf-8") as handle:
-        reader = _LineReader(path, handle.read())
-
-    line, no = reader.next("the 'DIRD 1' signature")
-    if line != "DIRD 1":
-        raise FormatError(path, f"bad signature {line!r}, expected 'DIRD 1'", line=no)
-    line, no = reader.next("the header line")
-    header = _header_fields(
-        path, line, no, (("fs", "float"), ("D", "int"), ("L", "int"), ("R", "int"))
-    )
+    reader, header, no = _read_preamble(path, "DIRD 1", _DIRD_HEADER)
     d_count, length, r_count = header["D"], header["L"], header["R"]
     if d_count < 1 or length < 2 or r_count < 1:
         raise FormatError(
             path, f"implausible sizes D={d_count} L={length} R={r_count}", line=no
         )
-    line, no = reader.next("the info line")
-    info = _info_line(path, line, no)
-    line, no = reader.next("the distance line")
-    distances = _values_line(path, line, no, "dist", r_count, "distance")
-
-    directions = []
-    for _ in range(d_count):
-        line, no = reader.next("a direction line")
-        directions.append(tuple(_values_line(path, line, no, "dir", 2, "angle")))
-    irs = np.empty((d_count, length, r_count))
-    for r in range(r_count):
-        for d in range(d_count):
-            line, no = reader.next("an impulse-response line")
-            irs[d, :, r] = _values_line(path, line, no, "ir", length, "sample")
-    reader.finish()
-    return _wrap_build_error(
-        path, lambda: RawIRs(info, irs, header["fs"], directions, distances)
+    info = reader.info()
+    distances = reader.values("the distance line", "dist", r_count, "distance")
+    directions, irs = _read_body(
+        reader, d_count, r_count, "an impulse-response line", "ir", length, "sample"
     )
+    return _build(path, RawIRs, info, irs, header["fs"], directions, distances)
 
 
 # --------------------------------------------------------------------------
@@ -237,50 +258,20 @@ def read_dird(path):
 def write_dirm(model, path):
     """Serialize a BasisSpectrumModel; see the module docstring for the layout."""
     coords = model.coords
-    d_count = len(coords.directions)
-    r_count = len(coords.distances)
     bins = model.source_bins
-    coef = model.coefficients
+    header = {"family": model.family.value, "K": model.order, "fmin": bins[0],
+              "fmax": bins[-1], "N": len(bins), "D": len(coords.directions),
+              "R": len(coords.distances)}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("DIRM 1\n")
-        handle.write(
-            f"family {model.family.value} K {model.order} "
-            f"fmin {_fmt(bins[0])} fmax {_fmt(bins[-1])} "
-            f"N {len(bins)} D {d_count} R {r_count}\n"
-        )
-        _write_info(handle, model.info)
-        handle.write("dist " + " ".join(_fmt(v) for v in coords.distances) + "\n")
-        handle.write("bins " + " ".join(_fmt(v) for v in bins) + "\n")
-        for direction in coords.directions:
-            handle.write(f"dir {_fmt(direction.azimuth)} {_fmt(direction.elevation)}\n")
-        for r in range(r_count):
-            for d in range(d_count):
-                handle.write("coef " + " ".join(_fmt(v) for v in coef[d, :, r]) + "\n")
+        _write_preamble(handle, "DIRM 1", _DIRM_HEADER, header, model.info)
+        handle.write(_line("dist", coords.distances))
+        handle.write(_line("bins", bins))
+        _write_body(handle, coords.directions, "coef", model.coefficients)
 
 
 def read_dirm(path):
     """Parse a DIRM file back into a BasisSpectrumModel."""
-    with open(path, "r", encoding="utf-8") as handle:
-        reader = _LineReader(path, handle.read())
-
-    line, no = reader.next("the 'DIRM 1' signature")
-    if line != "DIRM 1":
-        raise FormatError(path, f"bad signature {line!r}, expected 'DIRM 1'", line=no)
-    line, no = reader.next("the header line")
-    header = _header_fields(
-        path,
-        line,
-        no,
-        (
-            ("family", "str"),
-            ("K", "int"),
-            ("fmin", "float"),
-            ("fmax", "float"),
-            ("N", "int"),
-            ("D", "int"),
-            ("R", "int"),
-        ),
-    )
+    reader, header, no = _read_preamble(path, "DIRM 1", _DIRM_HEADER)
     try:
         family = BasisFamily.parse(header["family"])
     except ValueError as exc:
@@ -293,31 +284,19 @@ def read_dirm(path):
             f"implausible sizes K={order} N={n_bins} D={d_count} R={r_count}",
             line=no,
         )
-    line, no = reader.next("the info line")
-    info = _info_line(path, line, no)
-    line, no = reader.next("the distance line")
-    distances = _values_line(path, line, no, "dist", r_count, "distance")
-    line, no = reader.next("the bins line")
-    bins = _values_line(path, line, no, "bins", n_bins, "frequency")
+    info = reader.info()
+    distances = reader.values("the distance line", "dist", r_count, "distance")
+    bins = reader.values("the bins line", "bins", n_bins, "frequency")
     if bins[0] != header["fmin"] or bins[-1] != header["fmax"]:
         raise FormatError(
             path,
             f"frequency limits ({header['fmin']}, {header['fmax']}) disagree with "
             f"the bin list ({bins[0]}, {bins[-1]})",
-            line=no,
+            line=reader.pos,  # the bins line, just read
         )
-
-    directions = []
-    for _ in range(d_count):
-        line, no = reader.next("a direction line")
-        directions.append(tuple(_values_line(path, line, no, "dir", 2, "angle")))
-    coef = np.empty((d_count, order, r_count))
-    for r in range(r_count):
-        for d in range(d_count):
-            line, no = reader.next("a coefficient line")
-            coef[d, :, r] = _values_line(path, line, no, "coef", order, "coefficient")
-    reader.finish()
-    return _wrap_build_error(
-        path,
-        lambda: BasisSpectrumModel(info, family, coef, bins, directions, distances),
+    directions, coef = _read_body(
+        reader, d_count, r_count, "a coefficient line", "coef", order, "coefficient"
+    )
+    return _build(
+        path, BasisSpectrumModel, info, family, coef, bins, directions, distances
     )

@@ -10,6 +10,7 @@ without it.
 
 import numpy as np
 
+from .coords import _wrap_degrees
 from .errors import SofaError
 from .rawirs import RawIRs
 
@@ -96,8 +97,8 @@ def _source_positions(path, handle, measurement_count):
 def _group_by_distance(path, positions):
     """Split measurement rows by distance; returns (directions, distances,
     row-index array of shape (D, R))."""
-    azimuths = positions[:, 0] % 360.0
-    elevations = positions[:, 1]
+    azimuths = _wrap_degrees(positions[:, 0]).tolist()
+    elevations = positions[:, 1].tolist()
     distances = positions[:, 2]
     unique_dists = np.unique(distances)
     if np.any(unique_dists <= 0):

@@ -231,6 +231,22 @@ def test_sweep_csv_covers_every_order(workspace, capsys):
     assert np.all(np.isfinite(errors)) and np.all(errors >= 0)
 
 
+def test_sweep_fits_each_order_once(workspace, capsys, monkeypatch):
+    tmp_path, dird, _ = workspace
+    fitted = []
+    real_fit = dirkit.cli.fit_basis_model
+
+    def counting_fit(info, source, family, order, limits):
+        fitted.append(order)
+        return real_fit(info, source, family, order, limits)
+
+    monkeypatch.setattr(dirkit.cli, "fit_basis_model", counting_fit)
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(["sweep", str(dird), "-k", "4", "-o", str(out)], capsys)
+    assert code == 0
+    assert fitted == [1, 2, 3, 4]
+
+
 # -- extract-ir and balloon ----------------------------------------------------
 
 def test_extract_ir_wav(workspace, capsys):

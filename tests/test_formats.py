@@ -104,6 +104,72 @@ def test_info_escaping_round_trips(tmp_path):
         assert len(lines) == 6  # escaping keeps the info on one line
 
 
+@pytest.mark.parametrize("write, read", [(write_dird, read_dird), (write_dirm, read_dirm)])
+@pytest.mark.parametrize("info", ["a\rb", "a\r\nb", "\r", "end\r\n\r"])
+def test_info_carriage_returns_round_trip(tmp_path, write, read, info):
+    # A raw carriage return would end the line for the reader.
+    rng = np.random.default_rng(SEED + 8)
+    if write is write_dird:
+        obj = RawIRs(info, rng.standard_normal((1, 4)), 100.0, [(0, 0)])
+    else:
+        obj = BasisSpectrumModel(
+            info, BasisFamily.COSINE, rng.standard_normal((1, 2)), (1.0, 2.0), [(0, 0)]
+        )
+    path = tmp_path / "info.dat"
+    write(obj, path)
+    assert b"\r" not in path.read_bytes()
+    assert read(path).info == info
+
+
+GOLDEN_DIRD = (
+    "DIRD 1\n"
+    "fs 48000 D 2 L 4 R 1\n"
+    "info golden\\\\set\\nline two\n"
+    "dist 1\n"
+    "dir 0 0\n"
+    "dir 90 45\n"
+    "ir -0 4.9406564584124654e-324 1e+308 0.10000000000000001\n"
+    "ir 1 -2.5 0 -1e-300\n"
+)
+
+GOLDEN_DIRM = (
+    "DIRM 1\n"
+    "family cosine K 2 fmin 0.10000000000000001 fmax 20000 N 3 D 2 R 2\n"
+    "info\n"
+    "dist 0.5 2\n"
+    "bins 0.10000000000000001 1000 20000\n"
+    "dir 0 0\n"
+    "dir 180 -30\n"
+    "coef -0 4.9406564584124654e-324\n"
+    "coef 1e+308 0.10000000000000001\n"
+    "coef 1 -2.5\n"
+    "coef 0 3\n"
+)
+
+
+def test_golden_text(tmp_path):
+    # Pins the number spelling: negative zero, the smallest subnormal, the
+    # exponent form and the 17 digits that make 0.1 exact.
+    raw = RawIRs(
+        "golden\\set\nline two",
+        [[-0.0, 5e-324, 1e308, 0.1], [1.0, -2.5, 0.0, -1e-300]],
+        48000.0,
+        [(0.0, 0.0), (90.0, 45.0)],
+    )
+    model = BasisSpectrumModel(
+        "",
+        BasisFamily.COSINE,
+        [[[-0.0, 1.0], [5e-324, -2.5]], [[1e308, 0.0], [0.1, 3.0]]],
+        (0.1, 1000.0, 20000.0),
+        [(0.0, 0.0), (180.0, -30.0)],
+        (0.5, 2.0),
+    )
+    write_dird(raw, tmp_path / "golden.dird")
+    write_dirm(model, tmp_path / "golden.dirm")
+    assert (tmp_path / "golden.dird").read_bytes() == GOLDEN_DIRD.encode()
+    assert (tmp_path / "golden.dirm").read_bytes() == GOLDEN_DIRM.encode()
+
+
 def test_dirm_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(SEED + 3)
     model = make_model(rng)
@@ -224,6 +290,13 @@ def test_unknown_escape_rejected(tmp_path, dird_lines):
     lines = dird_lines.copy()
     lines[2] = "info bad\\tescape"
     _expect_error(tmp_path, lines, 3)
+
+
+def test_dangling_backslash_rejected(tmp_path, dird_lines):
+    lines = dird_lines.copy()
+    lines[2] = "info bad\\"
+    err = _expect_error(tmp_path, lines, 3)
+    assert "dangling backslash" in str(err)
 
 
 def test_distance_count_mismatch_rejected(tmp_path, dird_lines):
