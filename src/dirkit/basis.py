@@ -19,15 +19,7 @@ import numpy as np
 
 from . import kernels
 from .coords import Continuity, CoordinateSet, discrete_read_indices
-from .core import (
-    DataType,
-    DataVolume,
-    Directivity,
-    db_to_linear,
-    magnitude_as,
-    require_discrete_request,
-)
-from .errors import UnsupportedDatatypeError
+from .core import DataType, DataVolume, Directivity, db_to_linear, magnitude_as
 
 _MODEL_TYPES = frozenset(
     {DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE, DataType.POWER_SPECTRUM}
@@ -52,8 +44,6 @@ def eval_basis(family, order, x):
 
     Returns a (len(x), order) design matrix.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     if family is BasisFamily.FOURIER:
         return kernels.fourier_basis(int(order), x)
     if family is BasisFamily.COSINE:
@@ -142,12 +132,6 @@ class BasisSpectrumModel(Directivity):
 
     def get_data_matrix(self, requested, datatype):
         self._check_datatype(datatype)
-        if requested.continuity.frequency:
-            raise ValueError(
-                "matrix reads need discrete frequency values; "
-                "use spectrum_series for a sampled sweep"
-            )
-        require_discrete_request(requested)
         # Directions and distances snap; frequencies clamp into the limits.
         d_idx, _, r_idx, actual = discrete_read_indices(self.coords, requested)
         x = self._positions(actual.frequencies)
@@ -171,10 +155,6 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     order = int(order)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if DataType.LOG_MAGNITUDE not in source.supported_datatypes:
-        raise UnsupportedDatatypeError(
-            DataType.LOG_MAGNITUDE, source.supported_datatypes
-        )
     if not source.coords.is_discrete:
         raise ValueError("fit source must have fully discrete coordinates")
 

@@ -284,23 +284,15 @@ def _snap_values(base_vals, base_continuous, req_vals):
 
 
 def _coerce_directions(base, requested):
-    if not requested.continuity.direction:
-        if len(requested.directions) == 0:
-            return (), False
-        _, out = _snap_directions(base, requested)
-        return out, any(a != b for a, b in zip(out, requested.directions))
-
-    req_lo, req_hi = requested.directions
-    if base.continuity.direction:
-        lo, hi = base.elevation_limits
-        out = (min(max(req_lo, lo), hi), min(max(req_hi, lo), hi))
-    else:
-        # Requested elevation limits snap to the nearest stored elevations.
-        els = base.elevation_array
-        idx = kernels.nearest_value(els, np.array([req_lo, req_hi]))
-        lo, hi = float(els[idx[0]]), float(els[idx[1]])
-        out = (min(lo, hi), max(lo, hi))
-    return out, out != (req_lo, req_hi)
+    if requested.continuity.direction:
+        # Elevation limits snap to stored elevations or clamp into stored limits.
+        continuous = base.continuity.direction
+        stored = base.directions if continuous else base._elevations
+        return _coerce_values(stored, continuous, requested.directions, True)
+    if len(requested.directions) == 0:
+        return (), False
+    _, out = _snap_directions(base, requested)
+    return out, any(a != b for a, b in zip(out, requested.directions))
 
 
 def _coerce_values(base_vals, base_continuous, req_vals, req_continuous):
@@ -347,7 +339,12 @@ def discrete_read_indices(stored, requested):
     distance_idx, actual_coords), with `actual_coords` fully discrete.
     """
     if not requested.is_discrete:
-        raise ValueError("requested coordinates must be fully discrete")
+        flags = zip(Continuity._fields, requested.continuity)
+        raise ValueError(
+            f"matrix reads need discrete coordinates; request has continuous "
+            f"{', '.join(name for name, flag in flags if flag)} (use "
+            f"spectrum_series or balloon_grid for a sampled read)"
+        )
     d_idx, dirs = _snap_directions(stored, requested)
     f_idx, freqs = _snap_values(
         stored.frequencies, stored.continuity.frequency, requested.frequencies

@@ -124,21 +124,6 @@ class BalloonGrid(NamedTuple):
     coords: CoordinateSet
 
 
-def require_discrete_request(requested):
-    """Matrix reads materialize finite volumes, so requests must be discrete."""
-    if not requested.is_discrete:
-        flags = requested.continuity
-        names = [
-            name
-            for name, flag in zip(("direction", "frequency", "distance"), flags)
-            if flag
-        ]
-        raise ValueError(
-            f"matrix reads need discrete coordinates; request has continuous "
-            f"{', '.join(names)}"
-        )
-
-
 class Directivity(ABC):
     """Abstract directivity representation.
 

@@ -20,10 +20,11 @@ import warnings
 import numpy as np
 
 from .coords import discrete_read_indices, great_circle_angle
-from .core import DataType, DataVolume, Directivity, require_discrete_request
-from .errors import CoordinateMismatchError, UnsupportedDatatypeError
+from .core import DataType, DataVolume, Directivity
+from .errors import CoordinateMismatchError
 
 DIRECTION_TOL_DEG = 0.5
+HORIZONTAL_TOL_DEG = 1e-6
 DISTANCE_TOL_M = 1e-3
 
 _DIFF_TYPES = frozenset(
@@ -44,30 +45,21 @@ def _frequency_tolerance(reference):
 
 
 def _max_deviation(ref_coords, eva_coords):
-    """Per-dimension worst coordinate deviation between two actual reads."""
-    d_dev = 0.0
-    if len(ref_coords.directions) > 0:
-        d_dev = float(
-            np.max(
-                great_circle_angle(
-                    ref_coords.azimuth_array,
-                    ref_coords.elevation_array,
-                    eva_coords.azimuth_array,
-                    eva_coords.elevation_array,
-                )
-            )
+    """Per-dimension worst coordinate deviation between two actual reads,
+    0.0 for an empty dimension."""
+    return tuple(
+        float(np.max(dev, initial=0.0))
+        for dev in (
+            great_circle_angle(
+                ref_coords.azimuth_array,
+                ref_coords.elevation_array,
+                eva_coords.azimuth_array,
+                eva_coords.elevation_array,
+            ),
+            np.abs(ref_coords.frequency_array - eva_coords.frequency_array),
+            np.abs(ref_coords.distance_array - eva_coords.distance_array),
         )
-    f_dev = 0.0
-    if len(ref_coords.frequencies) > 0:
-        f_dev = float(
-            np.max(np.abs(ref_coords.frequency_array - eva_coords.frequency_array))
-        )
-    r_dev = 0.0
-    if len(ref_coords.distances) > 0:
-        r_dev = float(
-            np.max(np.abs(ref_coords.distance_array - eva_coords.distance_array))
-        )
-    return d_dev, f_dev, r_dev
+    )
 
 
 class DirectivityDiff(Directivity):
@@ -78,9 +70,6 @@ class DirectivityDiff(Directivity):
             raise ValueError(
                 f"diff supports log, lin, and complex datatypes, not {datatype.value}"
             )
-        for obj in (reference, evaluand):
-            if datatype not in obj.supported_datatypes:
-                raise UnsupportedDatatypeError(datatype, obj.supported_datatypes)
         if at is None:
             at = reference.coords
         ref_vol = reference.get_data_matrix(at, datatype)
@@ -140,7 +129,6 @@ class DirectivityDiff(Directivity):
 
     def get_data_matrix(self, requested, datatype):
         self._check_datatype(datatype)
-        require_discrete_request(requested)
         d_idx, f_idx, r_idx, actual = discrete_read_indices(self.coords, requested)
         values = self._diff[np.ix_(d_idx, f_idx, r_idx)]
         return DataVolume(values, actual, datatype)
@@ -166,24 +154,22 @@ class DirectivityDiff(Directivity):
             return _mse_measure
         raise ValueError(f"unknown measure {measure!r} (try sd, mse, or a callable)")
 
-    def _selection(self, over):
-        if over is None:
-            return self._diff, self._reference
-        d_idx, f_idx, r_idx, _ = discrete_read_indices(self.coords, over)
-        picker = np.ix_(d_idx, f_idx, r_idx)
-        return self._diff[picker], self._reference[picker]
+    def _aggregate(self, measure, over):
+        """One measure over a coordinate selection (None selects all)."""
+        fn = self._measure_fn(measure)
+        diff, ref = self._diff, self._reference
+        if over is not None:
+            picker = np.ix_(*discrete_read_indices(self.coords, over)[:3])
+            diff, ref = diff[picker], ref[picker]
+        return fn(diff.ravel(), ref.ravel())
 
     def compute_sd(self, over=None):
         """Spectral distortion in dB over a coordinate selection (default all)."""
-        fn = self._measure_fn("sd")
-        diff, ref = self._selection(over)
-        return fn(diff.ravel(), ref.ravel())
+        return self._aggregate("sd", over)
 
     def compute_mse(self, over=None):
         """Normalized mean-square error over a coordinate selection (default all)."""
-        fn = self._measure_fn("mse")
-        diff, ref = self._selection(over)
-        return fn(diff.ravel(), ref.ravel())
+        return self._aggregate("mse", over)
 
     def _bin_mask(self, freq_range):
         freqs = self.coords.frequency_array
@@ -213,7 +199,7 @@ class DirectivityDiff(Directivity):
         )
         return freqs, errors
 
-    def error_horizontal(self, measure="sd", freq_range=None, elevation_tolerance=1e-6):
+    def error_horizontal(self, measure="sd", freq_range=None):
         """Per-azimuth error on the horizontal plane, aggregated over the
         frequency bins in range and all distances.
 
@@ -222,10 +208,10 @@ class DirectivityDiff(Directivity):
         fn = self._measure_fn(measure)
         mask = self._bin_mask(freq_range)
         elevations = self.coords.elevation_array
-        selected = np.flatnonzero(np.abs(elevations) <= elevation_tolerance)
+        selected = np.flatnonzero(np.abs(elevations) <= HORIZONTAL_TOL_DEG)
         if len(selected) == 0:
             raise ValueError(
-                f"no stored directions within {elevation_tolerance} deg of the "
+                f"no stored directions within {HORIZONTAL_TOL_DEG} deg of the "
                 f"horizontal plane"
             )
         azimuths = self.coords.azimuth_array[selected]

@@ -5,19 +5,17 @@ the sample rate. Spectral datatypes are served through the one-sided DFT
 
     H[k] = sum_n h[n] * exp(-i 2 pi k n / L),  k = 0 .. floor(L/2)
 
-with no normalization, evaluated once at construction.
+with no normalization, evaluated once, on the first spectral read.
+Responses whose spectra overflow float64 (samples near 1e308) can still
+be read and written as responses; their spectral reads are rejected.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from .coords import CoordinateSet, discrete_read_indices
-from .core import (
-    DataType,
-    DataVolume,
-    Directivity,
-    magnitude_as,
-    require_discrete_request,
-)
+from .core import DataType, DataVolume, Directivity, magnitude_as
 
 _ALL_TYPES = frozenset(DataType)
 
@@ -45,6 +43,13 @@ class RawIRs(Directivity):
 
         length = irs.shape[1]
         bins = np.arange(length // 2 + 1) * (sample_rate / length)
+        with np.errstate(over="ignore"):
+            times = np.arange(length) / sample_rate
+        if not (bins[1] > 0.0 and np.isfinite(times[-1])):
+            raise ValueError(
+                f"sample rate {sample_rate} Hz is too small for {length} samples per "
+                f"response: the frequency bins collapse or the sample times overflow"
+            )
         coords = CoordinateSet(
             directions=directions, frequencies=tuple(bins), distances=distances
         )
@@ -58,9 +63,7 @@ class RawIRs(Directivity):
         irs.setflags(write=False)
         self._irs = irs
         self._sample_rate = sample_rate
-        # One-sided spectra over the time axis, fixed for the object's life.
-        self._spectra = np.fft.rfft(irs, axis=1)
-        self._times = np.arange(length) / sample_rate
+        self._times = times
 
     @property
     def sample_rate(self):
@@ -79,9 +82,17 @@ class RawIRs(Directivity):
     def supported_datatypes(self):
         return _ALL_TYPES
 
+    @cached_property
+    def _spectra(self):
+        """One-sided spectra over the time axis, computed on the first spectral read."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectra = np.fft.rfft(self._irs, axis=1)
+        if not np.all(np.isfinite(spectra)):
+            raise ValueError("spectra overflow float64; only IR reads are served")
+        return spectra
+
     def get_data_matrix(self, requested, datatype):
         self._check_datatype(datatype)
-        require_discrete_request(requested)
         d_idx, f_idx, r_idx, actual = discrete_read_indices(self.coords, requested)
 
         if datatype is DataType.IMPULSE_RESPONSES:

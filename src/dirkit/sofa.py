@@ -24,8 +24,6 @@ def _text(value):
         if value.size != 1:
             return " ".join(_text(v) for v in value.ravel())
         return _text(value.ravel()[0])
-    if isinstance(value, np.bytes_):
-        return value.decode("utf-8", "replace")
     return str(value)
 
 
@@ -139,6 +137,43 @@ def _group_by_distance(path, positions):
     return canonical, unique_dists, index
 
 
+def _read_container(path, handle):
+    """RawIRs per receiver from an open container: a mapping of variables
+    whose nodes carry an `attrs` mapping, as an h5py File does."""
+    convention = _attr(handle, "SOFAConventions")
+    if convention != _CONVENTION:
+        raise SofaError(
+            path, f"unsupported convention {convention!r} (expected {_CONVENTION!r})"
+        )
+    if "Data.IR" not in handle:
+        raise SofaError(path, "missing mandatory variable Data.IR")
+    irs = np.asarray(handle["Data.IR"][()], dtype=np.float64)
+    if irs.ndim != 3:
+        raise SofaError(
+            path, f"Data.IR shape {irs.shape} is not (measurements, receivers, samples)"
+        )
+    measurement_count, receiver_count, length = irs.shape
+    if length < 2:
+        raise SofaError(path, f"impulse responses of length {length} are too short")
+    rate = _sampling_rate(path, handle)
+    positions = _source_positions(path, handle, measurement_count)
+    title = _attr(handle, "Title") or _attr(handle, "DatabaseName") or path
+
+    directions, unique_dists, index = _group_by_distance(path, positions)
+
+    out = []
+    for receiver in range(receiver_count):
+        stack = irs[:, receiver, :]
+        volume = stack[index.ravel()].reshape(len(directions), len(unique_dists), length)
+        volume = np.swapaxes(volume, 1, 2)
+        info = f"{title} (receiver {receiver})"
+        try:
+            out.append(RawIRs(info, volume, rate, directions, tuple(unique_dists)))
+        except ValueError as exc:
+            raise SofaError(path, f"inconsistent contents: {exc}") from exc
+    return out
+
+
 def load_sofa(path):
     """Load a SimpleFreeFieldHRIR file; returns one RawIRs per receiver."""
     try:
@@ -154,39 +189,5 @@ def load_sofa(path):
         handle = h5py.File(path, "r")
     except OSError as exc:
         raise SofaError(path, f"not a readable HDF5 container ({exc})") from exc
-
     with handle:
-        convention = _attr(handle, "SOFAConventions")
-        if convention != _CONVENTION:
-            raise SofaError(
-                path, f"unsupported convention {convention!r} (expected {_CONVENTION!r})"
-            )
-        if "Data.IR" not in handle:
-            raise SofaError(path, "missing mandatory variable Data.IR")
-        irs = np.asarray(handle["Data.IR"][()], dtype=np.float64)
-        if irs.ndim != 3:
-            raise SofaError(
-                path, f"Data.IR shape {irs.shape} is not (measurements, receivers, samples)"
-            )
-        measurement_count, receiver_count, length = irs.shape
-        if length < 2:
-            raise SofaError(path, f"impulse responses of length {length} are too short")
-        rate = _sampling_rate(path, handle)
-        positions = _source_positions(path, handle, measurement_count)
-        title = _attr(handle, "Title") or _attr(handle, "DatabaseName") or path
-
-    directions, unique_dists, index = _group_by_distance(path, positions)
-
-    out = []
-    for receiver in range(receiver_count):
-        stack = irs[:, receiver, :]
-        volume = stack[index.ravel()].reshape(len(directions), len(unique_dists), length)
-        volume = np.swapaxes(volume, 1, 2)
-        info = f"{title} (receiver {receiver})"
-        try:
-            out.append(
-                RawIRs(info, volume, rate, directions, tuple(unique_dists))
-            )
-        except ValueError as exc:
-            raise SofaError(path, f"inconsistent contents: {exc}") from exc
-    return out
+        return _read_container(path, handle)

@@ -345,6 +345,17 @@ def test_failures_exit_one_with_error_line(case, workspace, capsys):
     assert stderr.strip().count("\n") == 0
 
 
+def test_spectrum_of_overflowing_responses_fails_with_error_line(tmp_path, capsys):
+    loud = tmp_path / "loud.dird"
+    write_dird(RawIRs("loud", np.full((1, 8), 1e308), 48000.0, [(0, 0)]), loud)
+    out = tmp_path / "s.csv"
+    code, _, stderr = run(["spectrum", str(loud), "-o", str(out)], capsys)
+    assert code == 1
+    assert stderr.startswith("error: ") and "spectra overflow float64" in stderr
+    assert stderr.strip().count("\n") == 0
+    assert not out.exists()
+
+
 def test_failed_commands_do_not_write_output(workspace, capsys):
     tmp_path, dird, dirm = workspace
     out = tmp_path / "d.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirkit import (
+    Continuity,
     CoordinateSet,
     DataType,
     DirectivityDiff,
@@ -156,6 +157,35 @@ def test_vector_read_flattens_direction_fastest(obj):
         for fi in range(f):
             for di in range(d):
                 assert vector[di + fi * d + ri * d * f] == volume.values[di, fi, ri]
+
+
+CONTINUOUS_REQUESTS = {
+    "direction": CoordinateSet(
+        directions=(-30.0, 30.0),
+        frequencies=(2000.0,),
+        continuity=Continuity(direction=True),
+    ),
+    "frequency": CoordinateSet(
+        directions=[(30.0, 0.0)],
+        frequencies=(2000.0, 7000.0),
+        continuity=Continuity(frequency=True),
+    ),
+    "distance": CoordinateSet(
+        directions=[(30.0, 0.0)],
+        frequencies=(2000.0,),
+        distances=(0.5, 2.0),
+        continuity=Continuity(distance=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("dimension", sorted(CONTINUOUS_REQUESTS))
+def test_matrix_reads_reject_continuous_requests(obj, dimension):
+    """One rule for every representation: the message names the dimension
+    and the sampled reads that serve continuous ranges."""
+    request = CONTINUOUS_REQUESTS[dimension]
+    with pytest.raises(ValueError, match=rf"continuous {dimension} .*spectrum_series"):
+        obj.get_data_matrix(request, _any_supported(obj))
 
 
 def test_unsupported_datatypes_raise(obj):

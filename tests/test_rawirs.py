@@ -1,9 +1,11 @@
 """Raw impulse-response representation: spectra, datatypes, reads."""
 
+import re
+
 import numpy as np
 import pytest
 
-from dirkit import Continuity, CoordinateSet, DataType, RawIRs
+from dirkit import Continuity, CoordinateSet, DataType, RawIRs, read_dird, write_dird
 
 SEED = 20240813
 
@@ -71,6 +73,15 @@ def test_two_dim_input_means_single_distance():
 def test_invalid_construction_rejected(irs, directions, fs):
     with pytest.raises(ValueError):
         RawIRs(info="", irs=irs, sample_rate=fs, directions=directions)
+
+
+@pytest.mark.parametrize("fs", [5e-324, 1e-320])
+def test_sample_rate_too_small_for_the_length_rejected(fs):
+    # 5e-324 / 4 rounds to 0, so every bin is 0 Hz; 3 / 1e-320 overflows,
+    # so the last sample time would be infinite.
+    message = re.escape(f"sample rate {fs} Hz") + ".* 4 samples"
+    with pytest.raises(ValueError, match=message):
+        RawIRs("", np.zeros((1, 4)), fs, [(0, 0)])
 
 
 def test_distance_count_must_match_last_axis():
@@ -273,6 +284,22 @@ def test_continuous_request_rejected():
     )
     with pytest.raises(ValueError):
         raw.get_data_matrix(request, DataType.LINEAR_MAGNITUDE)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_spectra_reject_only_spectral_reads(tmp_path):
+    # Finite samples whose DFT overflows float64: responses stay readable
+    # and storable, spectra are refused instead of served as inf/nan.
+    raw = RawIRs("loud", np.full((2, 4), 1e308), 8000.0, [(0, 0), (90, 0)])
+    request = CoordinateSet(directions=[(0, 0)], frequencies=(0.0, 2000.0, 4000.0))
+    volume = raw.get_data_matrix(request, DataType.IMPULSE_RESPONSES)
+    np.testing.assert_array_equal(volume.values, np.full((1, 4, 1), 1e308))
+    write_dird(raw, tmp_path / "loud.dird")
+    back = read_dird(tmp_path / "loud.dird")
+    np.testing.assert_array_equal(back.irs, raw.irs)
+    for datatype in (DataType.LOG_MAGNITUDE, DataType.COMPLEX_SPECTRUM):
+        with pytest.raises(ValueError, match="spectra overflow float64"):
+            raw.get_data_matrix(request, datatype)
 
 
 def test_vector_read_is_direction_fastest_flatten():
