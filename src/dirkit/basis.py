@@ -11,6 +11,13 @@ bin excluded). Two families are built in:
 Bins map to the fit abscissa as x_j = j/N in ascending order, so on a
 uniform grid the fourier design matrix is orthogonal and K = N
 reproduces the source exactly at the fit bins.
+
+The fit is one QR factorization A = QR of the (N, K) design matrix,
+shared by every cell: the coefficients solve R c = Q^T b, with Q^T b
+formed for all cells in one matrix product (Golub & Van Loan, Matrix
+Computations, ch. 5). A design whose numerical rank, at the cut-off
+S.max() * max(N, K) * eps of the least-squares solvers, is below K is
+rejected.
 """
 
 from enum import Enum
@@ -136,8 +143,8 @@ class BasisSpectrumModel(Directivity):
         d_idx, _, r_idx, actual = discrete_read_indices(self.coords, requested)
         x = self._positions(actual.frequencies)
         design = eval_basis(self._family, self.order, x)
-        coef = self._coefficients[d_idx][:, :, r_idx]
-        db = np.einsum("dkr,fk->dfr", coef, design)
+        coef = self._coefficients[np.ix_(d_idx, np.arange(self.order), r_idx)]
+        db = np.matmul(design, coef)
         if datatype is DataType.LOG_MAGNITUDE:
             return DataVolume(db, actual, datatype)
         return DataVolume(magnitude_as(datatype, db_to_linear(db)), actual, datatype)
@@ -182,13 +189,17 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
 
     x = np.arange(n, dtype=np.float64) / n
     design = eval_basis(family, order, x)
-    # One solve for all direction/distance cells: columns are cells.
-    rhs = volume.values.transpose(1, 0, 2).reshape(n, d_count * r_count)
-    solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    rank = np.linalg.matrix_rank(design)
     if rank < order:
         raise ValueError(
             f"design matrix rank {rank} below order {order}; fit is underdetermined"
         )
+    q, r = np.linalg.qr(design)
+    # Q^T b for every direction/distance cell in one product, then one
+    # solve with R whose right-hand columns are the cells.
+    qtb = np.matmul(q.T, volume.values)
+    rhs = qtb.transpose(1, 0, 2).reshape(order, d_count * r_count)
+    solution = np.linalg.solve(r, rhs)
     coefficients = solution.reshape(order, d_count, r_count).transpose(1, 0, 2)
     return BasisSpectrumModel(
         info,

@@ -161,7 +161,7 @@ class DirectivityDiff(Directivity):
         if over is not None:
             picker = np.ix_(*discrete_read_indices(self.coords, over)[:3])
             diff, ref = diff[picker], ref[picker]
-        return fn(diff.ravel(), ref.ravel())
+        return float(fn(diff.ravel(), ref.ravel()))
 
     def compute_sd(self, over=None):
         """Spectral distortion in dB over a coordinate selection (default all)."""
@@ -171,16 +171,17 @@ class DirectivityDiff(Directivity):
         """Normalized mean-square error over a coordinate selection (default all)."""
         return self._aggregate("mse", over)
 
-    def _bin_mask(self, freq_range):
+    def _bin_range(self, freq_range):
+        """Slice of the stored bins inside freq_range (default: all). The
+        stored bins ascend, so the bins inside are one run."""
         freqs = self.coords.frequency_array
         if freq_range is None:
-            mask = np.ones(len(freqs), dtype=bool)
-        else:
-            lo, hi = (float(v) for v in freq_range)
-            mask = (freqs >= lo) & (freqs <= hi)
-        if not np.any(mask):
+            return slice(None)
+        lo, hi = (float(v) for v in freq_range)
+        inside = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+        if len(inside) == 0:
             raise ValueError("no stored frequency bins inside the requested range")
-        return mask
+        return slice(inside[0], inside[-1] + 1)
 
     def error_vs_frequency(self, measure="sd", freq_range=None):
         """Per-bin error aggregated over directions and distances.
@@ -189,15 +190,9 @@ class DirectivityDiff(Directivity):
         freq_range (default: all bins).
         """
         fn = self._measure_fn(measure)
-        mask = self._bin_mask(freq_range)
-        freqs = self.coords.frequency_array[mask]
-        errors = np.array(
-            [
-                fn(self._diff[:, j, :].ravel(), self._reference[:, j, :].ravel())
-                for j in np.flatnonzero(mask)
-            ]
-        )
-        return freqs, errors
+        bins = self._bin_range(freq_range)
+        errors = _per_slice(fn, self._diff[:, bins], self._reference[:, bins], keep=1)
+        return self.coords.frequency_array[bins], errors
 
     def error_horizontal(self, measure="sd", freq_range=None):
         """Per-azimuth error on the horizontal plane, aggregated over the
@@ -206,7 +201,7 @@ class DirectivityDiff(Directivity):
         Returns (azimuths, errors) sorted by azimuth.
         """
         fn = self._measure_fn(measure)
-        mask = self._bin_mask(freq_range)
+        bins = self._bin_range(freq_range)
         elevations = self.coords.elevation_array
         selected = np.flatnonzero(np.abs(elevations) <= HORIZONTAL_TOL_DEG)
         if len(selected) == 0:
@@ -216,33 +211,53 @@ class DirectivityDiff(Directivity):
             )
         azimuths = self.coords.azimuth_array[selected]
         order = np.argsort(azimuths, kind="stable")
-        selected = selected[order]
-        cols = np.flatnonzero(mask)
-        errors = np.array(
-            [
-                fn(
-                    self._diff[i][cols, :].ravel(),
-                    self._reference[i][cols, :].ravel(),
-                )
-                for i in selected
-            ]
-        )
+        rows = selected[order]
+        errors = _per_slice(fn, self._diff[rows, bins], self._reference[rows, bins], keep=0)
         return azimuths[order], errors
 
 
-def _sd_measure(differences, _reference_values):
+def _per_slice(fn, diff, ref, keep):
+    """One error per index of axis `keep` of a sub-volume, aggregated over
+    the other two axes. The built-in measures reduce along those axes; a
+    callable gets each slice raveled."""
+    if fn in (_sd_measure, _mse_measure):
+        return fn(diff, ref, axis=tuple(a for a in range(3) if a != keep))
+    return np.array(
+        [
+            fn(d.ravel(), r.ravel())
+            for d, r in zip(np.moveaxis(diff, keep, 0), np.moveaxis(ref, keep, 0))
+        ]
+    )
+
+
+def _sum(values, axis):
+    """np.sum over `axis`: None, or ascending axes summed one at a time
+    from the outermost, so that each pass adds whole contiguous rows."""
+    if axis is None:
+        return np.sum(values)
+    for done, a in enumerate(axis):
+        values = values.sum(axis=a - done)
+    return values
+
+
+def _squared_magnitude(values):
+    """|values|**2 in a single temporary."""
+    out = np.abs(values)
+    return np.multiply(out, out, out=out)
+
+
+def _sd_measure(differences, _reference_values, axis=None):
     differences = np.asarray(differences, dtype=np.float64)
     if differences.size == 0:
         raise ValueError("empty selection")
-    return float(np.sqrt(np.mean(differences * differences)))
+    squares = _sum(differences * differences, axis)
+    return np.sqrt(squares / (differences.size // np.size(squares)))
 
 
-def _mse_measure(differences, reference_values):
-    differences = np.asarray(differences)
-    reference_values = np.asarray(reference_values)
-    if differences.size == 0:
+def _mse_measure(differences, reference_values, axis=None):
+    if np.size(differences) == 0:
         raise ValueError("empty selection")
-    denom = float(np.sum(np.abs(reference_values) ** 2))
-    if denom == 0.0:
+    denom = _sum(_squared_magnitude(reference_values), axis)
+    if np.any(denom == 0.0):
         raise ValueError("reference selection is identically zero; MSE undefined")
-    return float(np.sum(np.abs(differences) ** 2) / denom)
+    return _sum(_squared_magnitude(differences), axis) / denom

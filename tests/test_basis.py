@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dirkit.basis
 from dirkit import (
     BasisFamily,
     BasisSpectrumModel,
@@ -368,3 +369,51 @@ def test_fit_accepts_family_names():
     raw = make_raw(rng, n_dirs=1, length=8)
     model = fit_basis_model("", raw, "cosine", 2)
     assert model.family is BasisFamily.COSINE
+
+
+# --------------------------------------------------------------------------
+# the QR fit against a least-squares oracle, and the rank guard
+# --------------------------------------------------------------------------
+
+def _two_distance_noise(seed):
+    rng = np.random.default_rng(seed)
+    directions = [(45.0 * i, 10.0 * (i % 3) - 10.0) for i in range(8)]
+    irs = rng.standard_normal((len(directions), 64, 2))
+    return RawIRs("noise", irs, 16000.0, directions, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("limits", [None, (1500.0, 6000.0)], ids=["all-bins", "limits"])
+@pytest.mark.parametrize("family", list(BasisFamily), ids=lambda f: f.value)
+def test_fit_matches_a_least_squares_oracle(family, limits):
+    raw = _two_distance_noise(SEED + 40)
+    bins = raw.coords.frequency_array
+    keep = bins > 0.0
+    if limits is not None:
+        keep &= (bins >= limits[0]) & (bins <= limits[1])
+    log = raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE).values[:, keep, :]
+    n = log.shape[1]
+    assert n == (32 if limits is None else 19)
+    for order in sorted({1, 2, n // 2, n}):
+        model = fit_basis_model("", raw, family, order, frequency_limits=limits)
+        design = eval_basis(family, order, np.arange(n) / n)
+        expected = np.empty((log.shape[0], order, log.shape[2]))
+        for d in range(log.shape[0]):
+            for r in range(log.shape[2]):
+                expected[d, :, r] = np.linalg.lstsq(design, log[d, :, r], rcond=None)[0]
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(
+            model.coefficients, expected, rtol=1e-12, atol=1e-12 * scale
+        )
+
+
+def test_rank_deficient_design_is_rejected(monkeypatch):
+    def repeated_column(family, order, x):
+        design = eval_basis(family, order, x)
+        design[:, -1] = design[:, 0]
+        return design
+
+    monkeypatch.setattr(dirkit.basis, "eval_basis", repeated_column)
+    raw = _two_distance_noise(SEED + 41)
+    message = r"design matrix rank 3 below order 4; fit is underdetermined"
+    with pytest.raises(ValueError, match=message):
+        fit_basis_model("", raw, "fourier", 4)

@@ -8,6 +8,7 @@ from dirkit import (
     CoordinateSet,
     DataType,
     DirectivityDiff,
+    RawIRs,
     SynthSpec,
     UnsupportedDatatypeError,
     coerce,
@@ -211,3 +212,83 @@ def test_magnitude_datatypes_are_mutually_consistent(obj):
     np.testing.assert_allclose(power, lin**2, rtol=1e-12)
     assert np.all(lin > 0)
     np.testing.assert_allclose(log, 20 * np.log10(lin), atol=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Every matrix read returns a C-contiguous volume
+# --------------------------------------------------------------------------
+
+def _two_distance_raw(gain=1.0):
+    """A noise set on SPEC's directions at two distances."""
+    base = build_raw()
+    rng = np.random.default_rng(SEED + 1)
+    irs = gain * rng.standard_normal((len(base.coords.directions), base.ir_length, 2))
+    return RawIRs("two distances", irs, base.sample_rate, base.coords.directions,
+                  (1.0, 2.0))
+
+
+def _contiguity_objects():
+    raw = _two_distance_raw()
+    model = fit_basis_model("", raw, "fourier", 5)
+    at = CoordinateSet(
+        directions=raw.coords.directions,
+        frequencies=raw.coords.frequencies[1:],
+        distances=raw.coords.distances,
+    )
+    other = _two_distance_raw(gain=0.5)
+    diffs = {
+        DataType.LOG_MAGNITUDE: DirectivityDiff("", raw, model, at, DataType.LOG_MAGNITUDE),
+        DataType.LINEAR_MAGNITUDE: DirectivityDiff(
+            "", raw, model, at, DataType.LINEAR_MAGNITUDE
+        ),
+        DataType.COMPLEX_SPECTRUM: DirectivityDiff(
+            "", raw, other, at, DataType.COMPLEX_SPECTRUM
+        ),
+    }
+    return raw, model, diffs, at
+
+
+CONTIGUITY_CASES = (
+    [("raw", t) for t in DataType]
+    + [("model", t) for t in (DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE,
+                              DataType.POWER_SPECTRUM)]
+    + [("diff", t) for t in (DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE,
+                             DataType.COMPLEX_SPECTRUM)]
+)
+
+
+def _contiguity_requests(at):
+    return {
+        "on-grid": at,
+        "off-grid": CoordinateSet(
+            directions=[(31.0, 1.0), (182.0, 11.0), (359.0, -29.0)],
+            frequencies=(1900.0, 3100.0, 7000.0, 9001.0),
+            distances=(1.4,),
+        ),
+        "single-direction": CoordinateSet(
+            directions=[(60.0, 15.0)],
+            frequencies=at.frequencies,
+            distances=at.distances,
+        ),
+        "multi-distance": CoordinateSet(
+            directions=at.directions[:7],
+            frequencies=at.frequencies[2:9],
+            distances=(0.5, 1.2, 1.8, 3.0),
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def contiguity_objects():
+    return _contiguity_objects()
+
+
+@pytest.mark.parametrize("request_name",
+                         ["on-grid", "off-grid", "single-direction", "multi-distance"])
+@pytest.mark.parametrize("kind, datatype", CONTIGUITY_CASES,
+                         ids=[f"{k}-{t.value}" for k, t in CONTIGUITY_CASES])
+def test_matrix_reads_are_c_contiguous(contiguity_objects, kind, datatype, request_name):
+    raw, model, diffs, at = contiguity_objects
+    obj = {"raw": raw, "model": model, "diff": diffs.get(datatype)}[kind]
+    volume = obj.get_data_matrix(_contiguity_requests(at)[request_name], datatype)
+    assert volume.values.flags["C_CONTIGUOUS"]

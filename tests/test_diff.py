@@ -376,3 +376,81 @@ def test_diff_serves_its_stored_differences():
     assert volume.values[0, 0, 0] == diff.differences[2, 1, 0]
     with pytest.raises(UnsupportedDatatypeError):
         diff.get_data_matrix(request, DataType.LINEAR_MAGNITUDE)
+
+
+# --------------------------------------------------------------------------
+# built-in measures reduce along axes; callables take the per-slice loop
+# --------------------------------------------------------------------------
+
+def _sd_formula(differences, _reference):
+    return float(np.sqrt(np.mean(differences * differences)))
+
+
+def _mse_formula(differences, reference):
+    return float(np.sum(np.abs(differences) ** 2) / np.sum(np.abs(reference) ** 2))
+
+
+# Horizontal directions out of azimuth order, plus elevated ones.
+MIXED_DIRECTIONS = [(200.0, 0.0), (10.0, 0.0), (95.0, 0.0), (10.0, 40.0),
+                    (300.0, -20.0), (330.0, 0.0), (150.0, 60.0)]
+
+
+def _noise_pair(seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(MIXED_DIRECTIONS), 32, 2)
+    return tuple(
+        RawIRs("", rng.standard_normal(shape), 16000.0, MIXED_DIRECTIONS, (1.0, 2.0))
+        for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("freq_range", [None, (2200.0, 5100.0)], ids=["all", "subset"])
+@pytest.mark.parametrize(
+    "datatype, measure, formula",
+    [
+        (DataType.LOG_MAGNITUDE, "sd", _sd_formula),
+        (DataType.LINEAR_MAGNITUDE, "mse", _mse_formula),
+        (DataType.COMPLEX_SPECTRUM, "mse", _mse_formula),
+    ],
+    ids=["log-sd", "lin-mse", "complex-mse"],
+)
+def test_builtin_measures_equal_the_per_slice_loop(datatype, measure, formula, freq_range):
+    ref, eva = _noise_pair(SEED + 30)
+    diff = DirectivityDiff("", ref, eva, datatype=datatype)
+    for method in (diff.error_vs_frequency, diff.error_horizontal):
+        axis, errors = method(measure, freq_range)
+        loop_axis, loop_errors = method(formula, freq_range)
+        np.testing.assert_array_equal(axis, loop_axis)
+        assert errors.shape == loop_errors.shape
+        np.testing.assert_allclose(errors, loop_errors, rtol=1e-12, atol=0.0)
+    if freq_range is not None:
+        freqs, _ = diff.error_vs_frequency(measure, freq_range)
+        np.testing.assert_array_equal(freqs, [2500.0, 3000.0, 3500.0, 4000.0, 4500.0, 5000.0])
+
+
+def test_zero_reference_bin_is_rejected_by_both_methods():
+    # h = (1, 0, -1, 0, ...): H = 1 - exp(-i pi k), exactly 0 at DC and Nyquist.
+    irs = np.zeros((len(MIXED_DIRECTIONS), 4))
+    irs[:, 0], irs[:, 2] = 1.0, -1.0
+    ref = RawIRs("", irs, 8000.0, MIXED_DIRECTIONS)
+    eva = RawIRs("", 2.0 * irs + 0.1, 8000.0, MIXED_DIRECTIONS)
+    for datatype in (DataType.LINEAR_MAGNITUDE, DataType.COMPLEX_SPECTRUM):
+        diff = DirectivityDiff("", ref, eva, datatype=datatype)
+        with pytest.raises(ValueError, match="identically zero"):
+            diff.error_vs_frequency("mse")
+        with pytest.raises(ValueError, match="identically zero"):
+            diff.error_horizontal("mse", freq_range=(4000.0, 4000.0))
+        freqs, errors = diff.error_vs_frequency("mse", freq_range=(1000.0, 3000.0))
+        np.testing.assert_array_equal(freqs, [2000.0])
+        assert np.all(np.isfinite(errors))
+
+
+def test_zero_reference_horizontal_azimuth_is_rejected():
+    ref, eva = _noise_pair(SEED + 31)
+    irs = ref.irs.copy()
+    irs[MIXED_DIRECTIONS.index((95.0, 0.0))] = 0.0
+    ref = RawIRs("", irs, 16000.0, MIXED_DIRECTIONS, (1.0, 2.0))
+    diff = DirectivityDiff("", ref, eva, datatype=DataType.LINEAR_MAGNITUDE)
+    assert np.isfinite(diff.compute_mse())
+    with pytest.raises(ValueError, match="identically zero"):
+        diff.error_horizontal("mse")

@@ -1,11 +1,22 @@
 """Raw impulse-response representation: spectra, datatypes, reads."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dirkit import Continuity, CoordinateSet, DataType, RawIRs, read_dird, write_dird
+from dirkit import (
+    Continuity,
+    CoordinateSet,
+    DataType,
+    RawIRs,
+    SynthSpec,
+    read_dird,
+    synth_test_set,
+    write_dird,
+)
+from dirkit.core import magnitude_as
 
 SEED = 20240813
 
@@ -324,3 +335,95 @@ def test_info_and_coords_are_read_only():
         raw.info = "xyz"
     with pytest.raises(AttributeError):
         raw.coords = raw.coords
+
+
+# --------------------------------------------------------------------------
+# whole-set magnitudes: exact, isolated and built only when read
+# --------------------------------------------------------------------------
+
+def _expected_read(raw, volume, datatype):
+    """The read recomputed from the stored responses: rfft, then the
+    datatype's conversion, then the gather at the read's coordinates."""
+    directions = list(raw.coords.directions)
+    d_idx = [directions.index(d) for d in volume.coords.directions]
+    r_idx = [raw.coords.distances.index(r) for r in volume.coords.distances]
+    if datatype is DataType.IMPULSE_RESPONSES:
+        return raw.irs[np.ix_(d_idx, np.arange(raw.ir_length), r_idx)]
+    f_idx = [raw.coords.frequencies.index(f) for f in volume.coords.frequencies]
+    spectra = np.fft.rfft(raw.irs, axis=1)
+    if datatype is not DataType.COMPLEX_SPECTRUM:
+        spectra = magnitude_as(datatype, np.abs(spectra))
+    return spectra[np.ix_(d_idx, f_idx, r_idx)]
+
+
+def _exactness_set():
+    rng = np.random.default_rng(SEED + 20)
+    irs = rng.standard_normal((6, 32, 2))
+    irs[2] = 0.0  # a silent response: its log read sits on the floor
+    directions = [(30.0 * i, 10.0 * i - 25.0) for i in range(6)]
+    return RawIRs("exact", irs, 8000.0, directions, (1.0, 2.0))
+
+
+EXACTNESS_REQUESTS = {
+    "on-grid": None,
+    "off-grid": CoordinateSet(
+        directions=[(151.0, 24.0), (29.0, -26.0), (61.0, -4.0), (150.0, 25.0)],
+        frequencies=(100.0, 1320.0, 2600.0, 3999.0),
+        distances=(1.3, 2.6),
+    ),
+    "single-direction": CoordinateSet(
+        directions=[(90.0, 5.0)], frequencies=(750.0,), distances=(2.0,)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_REQUESTS))
+@pytest.mark.parametrize("datatype", list(DataType), ids=lambda t: t.value)
+def test_reads_equal_converting_the_gathered_spectra_exactly(datatype, name):
+    raw = _exactness_set()
+    request = EXACTNESS_REQUESTS[name] or raw.coords
+    for _ in ("first read", "warm read"):
+        volume = raw.get_data_matrix(request, datatype)
+        assert np.array_equal(volume.values, _expected_read(raw, volume, datatype))
+
+
+@pytest.mark.parametrize("datatype", list(DataType), ids=lambda t: t.value)
+def test_writing_into_a_read_does_not_change_later_reads(datatype):
+    raw = _exactness_set()
+    first = raw.get_data_matrix(raw.coords, datatype)
+    kept = first.values.copy()
+    first.values[...] = 7.0
+    again = raw.get_data_matrix(raw.coords, datatype)
+    assert np.array_equal(again.values, kept)
+
+
+def test_response_only_use_never_computes_spectra(monkeypatch, tmp_path):
+    raw = _exactness_set()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectra computed for a response-only use")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    volume = raw.get_data_matrix(raw.coords, DataType.IMPULSE_RESPONSES)
+    assert np.array_equal(volume.values, raw.irs)
+    write_dird(raw, tmp_path / "set.dird")
+    assert np.array_equal(read_dird(tmp_path / "set.dird").irs, raw.irs)
+    with pytest.raises(AssertionError, match="response-only"):
+        raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
+
+
+def test_warm_whole_set_log_read_allocates_little_beyond_its_output():
+    spec = SynthSpec(mode="lowpass", azimuth_step=5.0, elevation_step=5.0,
+                     elevation_limits=(-40.0, 90.0), length=256)
+    near = synth_test_set(spec)
+    raw = RawIRs("two distances", np.concatenate([near.irs, 0.5 * near.irs], axis=2),
+                 near.sample_rate, near.coords.directions, (1.0, 2.0))
+    assert raw.irs.shape == (1944, 256, 2)
+    raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
+    tracemalloc.start()
+    try:
+        volume = raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * volume.values.nbytes
