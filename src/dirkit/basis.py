@@ -18,6 +18,13 @@ formed for all cells in one matrix product (Golub & Van Loan, Matrix
 Computations, ch. 5). A design whose numerical rank, at the cut-off
 S.max() * max(N, K) * eps of the least-squares solvers, is below K is
 rejected.
+
+A fitted model keeps the source's validated directions and distances as
+they are: its coordinate set holds the same directions tuple and shares
+the source's direction table, so fitting many orders builds that table
+once and a read at the source's directions is a cached lookup. The
+coefficients are stored C-contiguous, and a read gathers the rows it
+needs with `core.gather` before one matrix product.
 """
 
 from enum import Enum
@@ -25,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .coords import Continuity, CoordinateSet, discrete_read_indices
-from .core import DataType, DataVolume, Directivity, db_to_linear, magnitude_as
+from .coords import DISCRETE, Continuity, CoordinateSet, discrete_read_indices
+from .core import DataType, DataVolume, Directivity, db_to_linear, gather, magnitude_as
 
 _MODEL_TYPES = frozenset(
     {DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE, DataType.POWER_SPECTRUM}
@@ -74,8 +81,7 @@ class BasisSpectrumModel(Directivity):
             raise ValueError(
                 f"coefficients must be (D, K, R) or (D, K), got {coefficients.shape}"
             )
-        if not np.all(np.isfinite(coefficients)):
-            raise ValueError("coefficients contain non-finite values")
+        _check_finite(coefficients)
         bins = tuple(float(b) for b in source_bins)
         if len(bins) < 1:
             raise ValueError("need at least one source bin")
@@ -99,10 +105,32 @@ class BasisSpectrumModel(Directivity):
                 f"coefficients shape {coefficients.shape} does not match "
                 f"{len(coords.directions)} directions and {len(coords.distances)} distances"
             )
+        self._setup(info, family, coefficients, bins, coords)
+
+    def _setup(self, info, family, coefficients, bins, coords):
         super().__init__(info, coords)
         self._family = family
-        self._coefficients = coefficients
+        # C order, so that a read's gather never copies the whole array first.
+        self._coefficients = np.ascontiguousarray(coefficients)
         self._bins = bins
+
+    @classmethod
+    def _fitted(cls, info, family, coefficients, fitted_on, source_coords):
+        """The model fitted at the validated request `fitted_on`.
+
+        Equal to the public constructor's model, but its coordinates are
+        not validated again and share the source's direction caches.
+        """
+        _check_finite(coefficients)
+        coords = CoordinateSet._unchecked(
+            fitted_on.directions,
+            (fitted_on.frequencies[0], fitted_on.frequencies[-1]),
+            fitted_on.distances,
+            Continuity(False, True, False),
+        )._with_direction_caches(source_coords)
+        model = cls.__new__(cls)
+        model._setup(info, family, coefficients, fitted_on.frequencies, coords)
+        return model
 
     @property
     def family(self):
@@ -143,11 +171,16 @@ class BasisSpectrumModel(Directivity):
         d_idx, _, r_idx, actual = discrete_read_indices(self.coords, requested)
         x = self._positions(actual.frequencies)
         design = eval_basis(self._family, self.order, x)
-        coef = self._coefficients[np.ix_(d_idx, np.arange(self.order), r_idx)]
+        coef = gather(self._coefficients, d_idx, np.arange(self.order), r_idx)
         db = np.matmul(design, coef)
         if datatype is DataType.LOG_MAGNITUDE:
             return DataVolume(db, actual, datatype)
         return DataVolume(magnitude_as(datatype, db_to_linear(db)), actual, datatype)
+
+
+def _check_finite(coefficients):
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("coefficients contain non-finite values")
 
 
 def fit_basis_model(info, source, family, order, frequency_limits=None):
@@ -179,11 +212,19 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     if order > n:
         raise ValueError(f"order {order} exceeds the {n} bins available for fitting")
 
-    requested = CoordinateSet(
-        directions=source.coords.directions,
-        frequencies=tuple(fit_bins),
-        distances=source.coords.distances,
-    )
+    stored = source.coords
+    if stored._validated:
+        # Part of validated coordinates needs no second check, and keeps the
+        # stored directions tuple, so the read takes the cached self-snap.
+        requested = CoordinateSet._unchecked(
+            stored.directions, fit_bins.tolist(), stored.distances, DISCRETE
+        )
+    else:
+        requested = CoordinateSet(
+            directions=stored.directions,
+            frequencies=fit_bins.tolist(),
+            distances=stored.distances,
+        )
     volume = source.get_data_matrix(requested, DataType.LOG_MAGNITUDE)
     d_count, _, r_count = volume.values.shape
 
@@ -201,11 +242,4 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     rhs = qtb.transpose(1, 0, 2).reshape(order, d_count * r_count)
     solution = np.linalg.solve(r, rhs)
     coefficients = solution.reshape(order, d_count, r_count).transpose(1, 0, 2)
-    return BasisSpectrumModel(
-        info,
-        family,
-        coefficients,
-        tuple(fit_bins),
-        source.coords.directions,
-        source.coords.distances,
-    )
+    return BasisSpectrumModel._fitted(info, family, coefficients, requested, stored)

@@ -150,10 +150,14 @@ class CoordinateSet:
             dists = _ascending(dists, "distance", 0.0, strict_min=True)
         object.__setattr__(self, "distances", dists)
 
+    # False on sets built by `_unchecked`.
+    _validated = True
+
     @classmethod
     def _unchecked(cls, directions, frequencies, distances, continuity):
         """Build without validation. Coercion output may hold duplicates."""
         obj = object.__new__(cls)
+        object.__setattr__(obj, "_validated", False)
         object.__setattr__(obj, "directions", tuple(directions))
         object.__setattr__(obj, "frequencies", tuple(frequencies))
         object.__setattr__(obj, "distances", tuple(distances))
@@ -218,6 +222,22 @@ class CoordinateSet:
             key: i for (key, i), c in zip(first.items(), crowded.tolist()) if not c
         }
 
+    @cached_property
+    def _self_snap(self):
+        """(indices, directions) of a read at this set's own directions."""
+        idx, dirs = _lookup_directions(self, self._azimuths, self._elevations)
+        idx.setflags(write=False)
+        return idx, dirs
+
+    def _with_direction_caches(self, source):
+        """This set, holding `source`'s direction caches when both hold the
+        same directions tuple; those caches depend on the directions only."""
+        if self.directions is source.directions:
+            for name in _DIRECTION_CACHES:
+                if name in source.__dict__:
+                    self.__dict__[name] = source.__dict__[name]
+        return self
+
     @property
     def frequency_array(self):
         return np.array(self.frequencies, dtype=np.float64)
@@ -225,6 +245,9 @@ class CoordinateSet:
     @property
     def distance_array(self):
         return np.array(self.distances, dtype=np.float64)
+
+
+_DIRECTION_CACHES = ("_azimuths", "_elevations", "_direction_table", "_self_snap")
 
 
 def _direction_keys(azimuths, elevations):
@@ -250,10 +273,33 @@ def _snap_directions(base, requested):
             Direction(d.azimuth, min(max(d.elevation, lo), hi))
             for d in requested.directions
         )
-    # Requests at a stored direction are looked up; only the rest are
-    # searched. Both give the index the search alone would.
+    if _same_directions(base, requested):
+        return base._self_snap
+    return _lookup_directions(base, requested._azimuths, requested._elevations)
+
+
+def _same_directions(base, requested):
+    """Whether the requested directions are the stored ones, bit for bit."""
+    if requested.directions is base.directions:
+        return True
+    if len(requested.directions) != len(base.directions):
+        return False
+    return all(
+        np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for a, b in (
+            (requested._azimuths, base._azimuths),
+            (requested._elevations, base._elevations),
+        )
+    )
+
+
+def _lookup_directions(base, req_az, req_el):
+    """Indices and stored directions nearest to the requested ones.
+
+    Requests at a stored direction are looked up; only the rest are
+    searched. Both give the index the search alone would.
+    """
     table = base._direction_table
-    req_az, req_el = requested._azimuths, requested._elevations
     idx = np.fromiter(
         map(table.get, _direction_keys(req_az, req_el), itertools.repeat(-1)),
         dtype=np.int64,

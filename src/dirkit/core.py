@@ -68,6 +68,36 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=np.float64) / 20.0)
 
 
+_GATHER_STEP = 1 << 16
+
+
+def gather(values, d_idx, f_idx, r_idx):
+    """`values[np.ix_(d_idx, f_idx, r_idx)]` of a (D, F, R) array, bit for
+    bit, as a new C-contiguous array.
+
+    The (frequency, distance) pairs are one flat index into the rows of
+    `values.reshape(D, F*R)`. Rows are taken in chunks of about 64k output
+    elements straight into the output, so the only temporary is one
+    chunk's flat index. Indices must be non-negative and in range.
+    """
+    d_idx, f_idx, r_idx = (np.asarray(i, dtype=np.int64) for i in (d_idx, f_idx, r_idx))
+    _, freq_count, dist_count = values.shape
+    row_len = freq_count * dist_count
+    cells = (f_idx[:, None] * dist_count + r_idx).ravel()
+    out = np.empty((len(d_idx), len(f_idx), len(r_idx)), dtype=values.dtype)
+    flat_out = out.reshape(len(d_idx), len(cells))
+    flat = values.reshape(-1)
+    starts = d_idx * row_len
+    step = max(1, min(len(d_idx), _GATHER_STEP // max(1, len(cells))))
+    index = np.empty((step, len(cells)), dtype=np.int64)
+    for lo in range(0, len(d_idx), step):
+        hi = min(lo + step, len(d_idx))
+        rows = np.add(starts[lo:hi, None], cells, out=index[: hi - lo])
+        # mode="wrap" writes straight into `out`; "raise" would buffer it.
+        np.take(flat, rows, out=flat_out[lo:hi], mode="wrap")
+    return out
+
+
 def magnitude_as(datatype, magnitude):
     """Convert a linear magnitude array to lin, pow, or log."""
     magnitude = np.asarray(magnitude, dtype=np.float64)

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .coords import discrete_read_indices, great_circle_angle
-from .core import DataType, DataVolume, Directivity
+from .core import DataType, DataVolume, Directivity, gather
 from .errors import CoordinateMismatchError
 
 DIRECTION_TOL_DEG = 0.5
@@ -130,7 +130,7 @@ class DirectivityDiff(Directivity):
     def get_data_matrix(self, requested, datatype):
         self._check_datatype(datatype)
         d_idx, f_idx, r_idx, actual = discrete_read_indices(self.coords, requested)
-        values = self._diff[np.ix_(d_idx, f_idx, r_idx)]
+        values = gather(self._diff, d_idx, f_idx, r_idx)
         return DataVolume(values, actual, datatype)
 
     # -- aggregation ------------------------------------------------------
@@ -159,8 +159,8 @@ class DirectivityDiff(Directivity):
         fn = self._measure_fn(measure)
         diff, ref = self._diff, self._reference
         if over is not None:
-            picker = np.ix_(*discrete_read_indices(self.coords, over)[:3])
-            diff, ref = diff[picker], ref[picker]
+            picker = discrete_read_indices(self.coords, over)[:3]
+            diff, ref = gather(diff, *picker), gather(ref, *picker)
         return float(fn(diff.ravel(), ref.ravel()))
 
     def compute_sd(self, over=None):

@@ -12,9 +12,10 @@ be read and written as responses; their spectral reads are rejected.
 Each magnitude datatype (lin, pow, log) is likewise built once over the
 whole set, on its first read, and kept: D*F*R*8 bytes per datatype
 (4 MB for 1944 directions x 129 bins x 2 distances). Every read is one
-gather into a new C-contiguous array, so writing into a read's values
-never touches the stored data, and the values equal those of converting
-the gathered spectra bit for bit.
+chunked gather (`core.gather`) into a new C-contiguous array, at about
+the cost of copying its output, so writing into a read's values never
+touches the stored data, and the values equal those of converting the
+gathered spectra bit for bit.
 """
 
 from functools import cached_property
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .coords import CoordinateSet, discrete_read_indices
-from .core import DataType, DataVolume, Directivity, magnitude_as
+from .core import DataType, DataVolume, Directivity, gather, magnitude_as
 
 _ALL_TYPES = frozenset(DataType)
 
@@ -112,7 +113,7 @@ class RawIRs(Directivity):
         if datatype is DataType.IMPULSE_RESPONSES:
             # Full-length responses; the requested frequency vector has no
             # role here and the middle axis becomes time in seconds.
-            values = self._irs[np.ix_(d_idx, np.arange(self.ir_length), r_idx)]
+            values = gather(self._irs, d_idx, np.arange(self.ir_length), r_idx)
             coords = CoordinateSet._unchecked(
                 actual.directions,
                 tuple(self._times),
@@ -125,4 +126,4 @@ class RawIRs(Directivity):
             source = self._spectra
         else:
             source = self._magnitude(datatype)
-        return DataVolume(source[np.ix_(d_idx, f_idx, r_idx)], actual, datatype)
+        return DataVolume(gather(source, d_idx, f_idx, r_idx), actual, datatype)

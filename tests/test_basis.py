@@ -15,7 +15,10 @@ from dirkit import (
     UnsupportedDatatypeError,
     eval_basis,
     fit_basis_model,
+    read_dirm,
+    write_dirm,
 )
+from dirkit import kernels
 
 SEED = 20240814
 
@@ -417,3 +420,85 @@ def test_rank_deficient_design_is_rejected(monkeypatch):
     message = r"design matrix rank 3 below order 4; fit is underdetermined"
     with pytest.raises(ValueError, match=message):
         fit_basis_model("", raw, "fourier", 4)
+
+
+# --------------------------------------------------------------------------
+# fitted models share the source's coordinates
+# --------------------------------------------------------------------------
+
+def _polar_grid_raw(seed):
+    """Two distances on a grid whose zenith row stores the pole 12 times."""
+    rng = np.random.default_rng(seed)
+    directions = [(30.0 * a, el) for el in (-30.0, 0.0, 30.0, 90.0) for a in range(12)]
+    irs = rng.standard_normal((len(directions), 32, 2))
+    return RawIRs("grid", irs, 16000.0, directions, (1.0, 2.0))
+
+
+def test_fits_and_diffs_build_the_direction_table_once(monkeypatch):
+    calls = []
+    crowded = kernels.crowded_directions
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return crowded(*args)
+
+    monkeypatch.setattr(kernels, "crowded_directions", counting)
+    raw = _polar_grid_raw(SEED + 50)
+    sds = []
+    for order in range(1, 9):
+        model = fit_basis_model("", raw, "fourier", order)
+        grid = CoordinateSet(
+            directions=raw.coords.directions,
+            frequencies=model.source_bins,
+            distances=raw.coords.distances,
+        )
+        sds.append(DirectivityDiff("", raw, model, grid).compute_sd())
+        DirectivityDiff("", raw, model, grid, DataType.LINEAR_MAGNITUDE).compute_mse()
+    # One table over the 37 distinct stored keys, built on the first fit.
+    assert calls == [37]
+    assert all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))
+
+
+def test_fitted_model_equals_the_publicly_built_one(tmp_path):
+    raw = _polar_grid_raw(SEED + 51)
+    for family in ("fourier", "cosine"):
+        model = fit_basis_model("fit", raw, family, 5)
+        public = BasisSpectrumModel(
+            "fit", family, model.coefficients, model.source_bins,
+            raw.coords.directions, raw.coords.distances,
+        )
+        assert model.coords == public.coords
+        assert model.coords.directions is raw.coords.directions
+        assert model._coefficients.flags.c_contiguous
+        write_dirm(model, tmp_path / f"{family}.dirm")
+        back = read_dirm(tmp_path / f"{family}.dirm")
+        assert back.coords == model.coords
+        requests = (
+            CoordinateSet(
+                directions=raw.coords.directions,
+                frequencies=model.source_bins,
+                distances=raw.coords.distances,
+            ),
+            CoordinateSet(
+                directions=[(17.0, 85.0), (200.0, -31.0), (0.0, 0.0)],
+                frequencies=(0.0, 1234.5, 9000.0),
+                distances=(1.4, 3.0),
+            ),
+        )
+        for request in requests:
+            for datatype in sorted(model.supported_datatypes, key=lambda t: t.value):
+                want = public.get_data_matrix(request, datatype)
+                for obj in (model, back):
+                    got = obj.get_data_matrix(request, datatype)
+                    assert np.array_equal(got.values, want.values)
+                    assert got.coords == want.coords
+
+
+def test_fitting_unvalidated_coordinates_checks_them_as_before():
+    # A diff's coordinates are a read's actual coordinates: here the 12
+    # zenith rows all land on the first, so they hold one direction 12
+    # times, which no validated set holds.
+    raw = _polar_grid_raw(SEED + 52)
+    diff = DirectivityDiff("", raw, raw)
+    with pytest.raises(ValueError, match=r"duplicate direction \(0\.0, 90\.0\)"):
+        fit_basis_model("", diff, "fourier", 2)

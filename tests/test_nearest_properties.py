@@ -165,3 +165,48 @@ def test_reads_at_a_grid_with_pole_duplicates_match_oracle(
     )
     assert d_idx.tolist() == expected
     assert actual.directions == tuple(stored_dirs[i] for i in expected)
+
+
+# --------------------------------------------------------------------------
+# reads at a set's own directions (the cached self-snap)
+# --------------------------------------------------------------------------
+
+# A 72-row zenith ring and a nadir ring (each one point stored 72 times
+# under one pole key), two directions 1e-10 deg apart, and the zenith
+# stored once more at another azimuth.
+_RINGS = (
+    [(5.0 * i, 90.0) for i in range(72)]
+    + [(5.0 * i, -90.0) for i in range(72)]
+    + [(30.0, 10.0), (30.0 + 1e-10, 10.0), (2.5, 90.0)]
+)
+
+
+@PROPERTY
+@given(
+    extra=st.lists(directions, max_size=30),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_reads_at_own_directions_match_brute_force(extra, shuffle):
+    stored_dirs = _unique_directions(_RINGS + extra)
+    shuffle.shuffle(stored_dirs)
+    stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
+    az, el = stored.azimuth_array, stored.elevation_array
+    expected = kernels.nearest_direction(az, el, az, el).tolist()
+    assert expected == _direction_oracle(az, el, az, el)
+    rebuilt = CoordinateSet(
+        directions=[(d.azimuth, d.elevation) for d in stored_dirs],
+        frequencies=(100.0,),
+    )
+    assert rebuilt.directions is not stored.directions
+    for request in (stored, rebuilt, stored, rebuilt):
+        d_idx, _, _, actual = discrete_read_indices(stored, request)
+        assert d_idx.tolist() == expected
+        assert actual.directions == tuple(stored_dirs[i] for i in expected)
+    # Requests of the same length that differ from the stored set take
+    # the lookup and the search.
+    nudged = [Direction(stored_dirs[0].azimuth + 0.25, 0.0)] + stored_dirs[1:]
+    for request_dirs in (stored_dirs[::-1], nudged):
+        request = CoordinateSet._unchecked(request_dirs, (100.0,), (1.0,), stored.continuity)
+        req_az, req_el = request.azimuth_array, request.elevation_array
+        d_idx, _, _, _ = discrete_read_indices(stored, request)
+        assert d_idx.tolist() == _direction_oracle(az, el, req_az, req_el)

@@ -10,6 +10,7 @@ from dirkit import (
     Continuity,
     CoordinateSet,
     DataType,
+    DirectivityDiff,
     RawIRs,
     SynthSpec,
     read_dird,
@@ -412,18 +413,45 @@ def test_response_only_use_never_computes_spectra(monkeypatch, tmp_path):
         raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
 
 
-def test_warm_whole_set_log_read_allocates_little_beyond_its_output():
+def _two_distance_grid_set():
     spec = SynthSpec(mode="lowpass", azimuth_step=5.0, elevation_step=5.0,
                      elevation_limits=(-40.0, 90.0), length=256)
     near = synth_test_set(spec)
     raw = RawIRs("two distances", np.concatenate([near.irs, 0.5 * near.irs], axis=2),
                  near.sample_rate, near.coords.directions, (1.0, 2.0))
     assert raw.irs.shape == (1944, 256, 2)
-    raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
+    return raw
+
+
+def _peak_over_output(read):
+    """Peak traced allocation of a warm read, as a multiple of its output."""
+    read()
     tracemalloc.start()
     try:
-        volume = raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
+        volume = read()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * volume.values.nbytes
+    return peak / volume.values.nbytes
+
+
+def test_warm_whole_set_log_read_allocates_little_beyond_its_output():
+    raw = _two_distance_grid_set()
+    assert _peak_over_output(
+        lambda: raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
+    ) < 1.5
+
+
+def test_warm_whole_set_response_read_allocates_little_beyond_its_output():
+    raw = _two_distance_grid_set()
+    assert _peak_over_output(
+        lambda: raw.get_data_matrix(raw.coords, DataType.IMPULSE_RESPONSES)
+    ) < 1.5
+
+
+def test_warm_whole_set_diff_read_allocates_little_beyond_its_output():
+    raw = _two_distance_grid_set()
+    diff = DirectivityDiff("", raw, raw)
+    assert _peak_over_output(
+        lambda: diff.get_data_matrix(diff.coords, DataType.LOG_MAGNITUDE)
+    ) < 1.5
