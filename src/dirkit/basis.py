@@ -25,6 +25,13 @@ the source's direction table, so fitting many orders builds that table
 once and a read at the source's directions is a cached lookup. The
 coefficients are stored C-contiguous, and a read gathers the rows it
 needs with `core.gather` before one matrix product.
+
+Linear and power reads convert that product where it stands, as
+exp(dB * ln(10)/20) (squared for power), so a read allocates little
+beyond its output. Linear reads are within a relative 1e-14 of
+10**(dB/20) over [-300, 300] dB, and power reads within twice that,
+since squaring doubles a relative error; log reads are the product
+itself.
 """
 
 from enum import Enum
@@ -33,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .coords import DISCRETE, Continuity, CoordinateSet, discrete_read_indices
-from .core import DataType, DataVolume, Directivity, db_to_linear, gather, magnitude_as
+from .core import DataType, DataVolume, Directivity, _db_to_linear_in_place, gather
 
 _MODEL_TYPES = frozenset(
     {DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE, DataType.POWER_SPECTRUM}
@@ -172,10 +179,13 @@ class BasisSpectrumModel(Directivity):
         x = self._positions(actual.frequencies)
         design = eval_basis(self._family, self.order, x)
         coef = gather(self._coefficients, d_idx, np.arange(self.order), r_idx)
-        db = np.matmul(design, coef)
-        if datatype is DataType.LOG_MAGNITUDE:
-            return DataVolume(db, actual, datatype)
-        return DataVolume(magnitude_as(datatype, db_to_linear(db)), actual, datatype)
+        values = np.matmul(design, coef)
+        if datatype is not DataType.LOG_MAGNITUDE:
+            # The product is a new array; convert it where it stands.
+            _db_to_linear_in_place(values)
+            if datatype is DataType.POWER_SPECTRUM:
+                np.multiply(values, values, out=values)
+        return DataVolume(values, actual, datatype)
 
 
 def _check_finite(coefficients):

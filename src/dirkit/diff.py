@@ -46,16 +46,22 @@ def _frequency_tolerance(reference):
 
 def _max_deviation(ref_coords, eva_coords):
     """Per-dimension worst coordinate deviation between two actual reads,
-    0.0 for an empty dimension."""
+    0.0 for an empty dimension. Reads that landed on the same directions
+    tuple (a fitted model and its source at the stored directions) deviate
+    by 0.0 in direction, with no angles computed."""
+    if ref_coords.directions is eva_coords.directions:
+        angles = ()
+    else:
+        angles = great_circle_angle(
+            ref_coords.azimuth_array,
+            ref_coords.elevation_array,
+            eva_coords.azimuth_array,
+            eva_coords.elevation_array,
+        )
     return tuple(
         float(np.max(dev, initial=0.0))
         for dev in (
-            great_circle_angle(
-                ref_coords.azimuth_array,
-                ref_coords.elevation_array,
-                eva_coords.azimuth_array,
-                eva_coords.elevation_array,
-            ),
+            angles,
             np.abs(ref_coords.frequency_array - eva_coords.frequency_array),
             np.abs(ref_coords.distance_array - eva_coords.distance_array),
         )
@@ -103,8 +109,12 @@ class DirectivityDiff(Directivity):
             text = f"diff of {evaluand.info} vs {reference.info}"
         super().__init__(f"{text} ({datatype.value})", ref_vol.coords)
         self._datatype = datatype
-        self._diff = eva_vol.values - ref_vol.values
-        self._reference = ref_vol.values
+        ref, eva = ref_vol.values, eva_vol.values
+        # Every read returns a new array, so the difference can take the
+        # evaluand read's buffer; a read-only or narrower one is kept apart.
+        into = eva.flags.writeable and eva.dtype == np.result_type(eva, ref)
+        self._diff = np.subtract(eva, ref, out=eva if into else None)
+        self._reference = ref
         self._warned = warned
 
     @property
@@ -241,7 +251,9 @@ def _sum(values, axis):
 
 
 def _squared_magnitude(values):
-    """|values|**2 in a single temporary."""
+    """|values|**2 in a single temporary; a real array is squared as it is."""
+    if not np.iscomplexobj(values):
+        return values * values
     out = np.abs(values)
     return np.multiply(out, out, out=out)
 

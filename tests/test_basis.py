@@ -13,12 +13,14 @@ from dirkit import (
     DirectivityDiff,
     RawIRs,
     UnsupportedDatatypeError,
+    db_to_linear,
     eval_basis,
     fit_basis_model,
     read_dirm,
     write_dirm,
 )
 from dirkit import kernels
+from dirkit.core import DB_FLOOR
 
 SEED = 20240814
 
@@ -183,6 +185,34 @@ def test_read_matches_per_cell_design_product():
             for r in range(2):
                 expected = float(row @ coef[d, :, r])
                 assert volume.values[d, fi, r] == pytest.approx(expected, abs=1e-12)
+
+
+def test_db_to_linear_is_the_power_form_to_1e14():
+    db = np.concatenate([np.linspace(DB_FLOOR, 300.0, 200001), [-0.0, 1e-300, -20.0, 20.0]])
+    db.setflags(write=False)
+    kept = db.copy()
+    linear = db_to_linear(db)
+    np.testing.assert_allclose(linear, 10.0 ** (db / 20.0), rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(db, kept)
+    assert db_to_linear(0.0) == 1.0
+    assert db_to_linear([0.0, -0.0]).tolist() == [1.0, 1.0]
+
+
+def test_log_read_is_the_design_product_bit_for_bit():
+    rng = np.random.default_rng(SEED + 2)
+    coef = rng.standard_normal((3, 4, 2))
+    bins = tuple(np.linspace(500.0, 8000.0, 16))
+    model = BasisSpectrumModel(
+        "", BasisFamily.COSINE, coef, bins, [(0, 0), (90, 0), (180, 0)], (1.0, 2.0)
+    )
+    request = CoordinateSet(
+        directions=model.coords.directions,
+        frequencies=tuple(np.sort(rng.uniform(500.0, 8000.0, 7))),
+        distances=model.coords.distances,
+    )
+    design = eval_basis(BasisFamily.COSINE, 4, model._positions(request.frequencies))
+    volume = model.get_data_matrix(request, DataType.LOG_MAGNITUDE)
+    assert np.array_equal(volume.values, design @ coef)
 
 
 def test_requests_outside_limits_are_clamped():

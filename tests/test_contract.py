@@ -292,3 +292,45 @@ def test_matrix_reads_are_c_contiguous(contiguity_objects, kind, datatype, reque
     obj = {"raw": raw, "model": model, "diff": diffs.get(datatype)}[kind]
     volume = obj.get_data_matrix(_contiguity_requests(at)[request_name], datatype)
     assert volume.values.flags["C_CONTIGUOUS"]
+
+
+# --------------------------------------------------------------------------
+# Every matrix read returns a new array of its own
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("request_name",
+                         ["on-grid", "off-grid", "single-direction", "multi-distance"])
+@pytest.mark.parametrize("kind, datatype", CONTIGUITY_CASES,
+                         ids=[f"{k}-{t.value}" for k, t in CONTIGUITY_CASES])
+def test_writing_into_a_read_changes_no_later_read(contiguity_objects, kind, datatype,
+                                                   request_name):
+    raw, model, diffs, at = contiguity_objects
+    obj = {"raw": raw, "model": model, "diff": diffs.get(datatype)}[kind]
+    request = _contiguity_requests(at)[request_name]
+    first = obj.get_data_matrix(request, datatype).values
+    kept = first.copy()
+    first[...] = -7.0
+    np.testing.assert_array_equal(obj.get_data_matrix(request, datatype).values, kept)
+
+
+@pytest.mark.parametrize("datatype", [DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE,
+                                      DataType.COMPLEX_SPECTRUM],
+                         ids=lambda t: t.value)
+def test_a_diff_keeps_its_differences_apart_from_its_inputs(datatype):
+    raw = _two_distance_raw()
+    evaluand = (_two_distance_raw(gain=0.5) if datatype is DataType.COMPLEX_SPECTRUM
+                else fit_basis_model("", raw, "fourier", 5))
+    at = CoordinateSet(
+        directions=raw.coords.directions,
+        frequencies=raw.coords.frequencies[1:],
+        distances=raw.coords.distances,
+    )
+    before = [obj.get_data_matrix(at, datatype).values for obj in (raw, evaluand)]
+    diff = DirectivityDiff("", raw, evaluand, at, datatype)
+    # The stored arrays behind `differences` and `reference_values`.
+    assert not np.shares_memory(diff._diff, diff._reference)
+    assert not np.shares_memory(diff.differences, diff.reference_values)
+    np.testing.assert_array_equal(diff.differences, before[1] - before[0])
+    np.testing.assert_array_equal(diff.reference_values, before[0])
+    for obj, values in zip((raw, evaluand), before):
+        np.testing.assert_array_equal(obj.get_data_matrix(at, datatype).values, values)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import dirkit.diff
 from dirkit import (
     BasisFamily,
     CoordinateMismatchError,
     CoordinateMismatchWarning,
     CoordinateSet,
     DataType,
+    DataVolume,
+    Directivity,
     DirectivityDiff,
     RawIRs,
     UnsupportedDatatypeError,
@@ -357,6 +360,69 @@ def test_continuous_reference_has_zero_frequency_tolerance():
     )
     with pytest.raises(CoordinateMismatchError):
         DirectivityDiff("", model, raw, at=outside)
+
+
+def test_reads_on_one_directions_tuple_compute_no_angles(monkeypatch):
+    calls = []
+    angle = dirkit.diff.great_circle_angle
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return angle(*args)
+
+    monkeypatch.setattr(dirkit.diff, "great_circle_angle", counting)
+    rng = np.random.default_rng(SEED + 16)
+    raw = random_set(rng, RING4 + [(45.0, 30.0), (0.0, 90.0), (90.0, 90.0)])
+    model = fit_basis_model("", raw, BasisFamily.FOURIER, 3)
+    grid = CoordinateSet(
+        directions=raw.coords.directions,
+        frequencies=raw.coords.frequencies[1:],
+        distances=raw.coords.distances,
+    )
+    for datatype in (DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE):
+        diff = DirectivityDiff("", raw, model, grid, datatype)
+        assert not diff.coordinate_warning
+    assert calls == []
+    # Reads on different directions tuples still measure the angles.
+    ref = impulse_set([1.0], [(0.0, 0.0)])
+    eva = impulse_set([2.0], [(0.3, 0.0)])
+    with pytest.warns(CoordinateMismatchWarning):
+        DirectivityDiff("", ref, eva)
+    assert calls == [1]
+
+
+class _FixedRead(Directivity):
+    """Serves one stored array as every read, unlike the built-in
+    representations: a read a diff must not write into."""
+
+    def __init__(self, coords, values):
+        super().__init__("fixed", coords)
+        self.values = values
+
+    @property
+    def supported_datatypes(self):
+        return frozenset({DataType.LOG_MAGNITUDE})
+
+    def get_data_matrix(self, requested, datatype):
+        return DataVolume(self.values, self.coords, datatype)
+
+
+@pytest.mark.parametrize("kind", ["read-only", "float32"])
+def test_diff_leaves_a_read_it_cannot_take_alone(kind):
+    rng = np.random.default_rng(SEED + 17)
+    ref = random_set(rng, RING4)
+    evaluand = random_set(rng, RING4)
+    values = evaluand.get_data_matrix(ref.coords, DataType.LOG_MAGNITUDE).values
+    if kind == "read-only":
+        values.setflags(write=False)
+    else:
+        values = values.astype(np.float32)
+    kept = values.copy()
+    diff = DirectivityDiff("", ref, _FixedRead(ref.coords, values))
+    reference = ref.get_data_matrix(ref.coords, DataType.LOG_MAGNITUDE).values
+    np.testing.assert_array_equal(diff.differences, kept - reference)
+    assert diff.differences.dtype == np.float64
+    np.testing.assert_array_equal(values, kept)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dirkit import (
     DirectivityDiff,
     RawIRs,
     SynthSpec,
+    fit_basis_model,
     read_dird,
     synth_test_set,
     write_dird,
@@ -423,15 +424,21 @@ def _two_distance_grid_set():
     return raw
 
 
-def _peak_over_output(read):
-    """Peak traced allocation of a warm read, as a multiple of its output."""
-    read()
+def _warm_peak(call):
+    """The result and peak traced allocation of a second call."""
+    call()
     tracemalloc.start()
     try:
-        volume = read()
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def _peak_over_output(read):
+    """Peak traced allocation of a warm read, as a multiple of its output."""
+    volume, peak = _warm_peak(read)
     return peak / volume.values.nbytes
 
 
@@ -455,3 +462,31 @@ def test_warm_whole_set_diff_read_allocates_little_beyond_its_output():
     assert _peak_over_output(
         lambda: diff.get_data_matrix(diff.coords, DataType.LOG_MAGNITUDE)
     ) < 1.5
+
+
+def _model_and_grid():
+    """An order-8 model of the two-distance set and the bins it shares
+    with the set (all but DC): 1944 x 128 x 2 volumes."""
+    raw = _two_distance_grid_set()
+    grid = CoordinateSet(
+        directions=raw.coords.directions,
+        frequencies=raw.coords.frequencies[1:],
+        distances=raw.coords.distances,
+    )
+    return raw, fit_basis_model("", raw, "fourier", 8), grid
+
+
+@pytest.mark.parametrize("datatype", [DataType.LINEAR_MAGNITUDE, DataType.POWER_SPECTRUM],
+                         ids=lambda t: t.value)
+def test_warm_whole_set_model_read_allocates_little_beyond_its_output(datatype):
+    _, model, grid = _model_and_grid()
+    assert _peak_over_output(lambda: model.get_data_matrix(grid, datatype)) < 1.5
+
+
+@pytest.mark.parametrize("datatype", [DataType.LINEAR_MAGNITUDE, DataType.LOG_MAGNITUDE],
+                         ids=lambda t: t.value)
+def test_diff_construction_allocates_little_beyond_the_two_volumes_it_keeps(datatype):
+    raw, model, grid = _model_and_grid()
+    diff, peak = _warm_peak(lambda: DirectivityDiff("", raw, model, grid, datatype))
+    assert diff.differences.shape == (1944, 128, 2)
+    assert peak / diff.differences.nbytes < 2.5
