@@ -70,27 +70,6 @@ def _freq_range(args):
     return (lo, hi)
 
 
-def _comparison_coords(reference, evaluand):
-    """The grid a comparison runs on: the reference's stored coordinates,
-    restricted to frequency bins inside any continuous participant's limits."""
-    base = reference.coords
-    if not base.is_discrete:
-        raise ValueError("the reference must store discrete coordinates")
-    freqs = base.frequency_array
-    mask = np.ones(len(freqs), dtype=bool)
-    for obj in (reference, evaluand):
-        if obj.coords.continuity.frequency:
-            lo, hi = obj.coords.frequencies
-            mask &= (freqs >= lo) & (freqs <= hi)
-    if not np.any(mask):
-        raise ValueError("no reference frequency bins inside the evaluand's limits")
-    return CoordinateSet(
-        directions=base.directions,
-        frequencies=tuple(freqs[mask]),
-        distances=base.distances,
-    )
-
-
 def _spectral_datatype(text):
     datatype = DataType.parse(text)
     if datatype not in _Y_NAMES:
@@ -198,16 +177,9 @@ def cmd_fit(args):
 def cmd_diff(args):
     reference = _load(args.reference)
     evaluand = _load(args.evaluand)
-    if args.datatype is not None:
-        datatype = DataType.parse(args.datatype)
-    else:
-        datatype = (
-            DataType.LOG_MAGNITUDE
-            if args.measure == "sd"
-            else DataType.LINEAR_MAGNITUDE
-        )
-    at = _comparison_coords(reference, evaluand)
-    diff = DirectivityDiff(args.info, reference, evaluand, at, datatype)
+    default = "log" if args.measure == "sd" else "lin"
+    datatype = DataType.parse(default if args.datatype is None else args.datatype)
+    diff = DirectivityDiff(args.info, reference, evaluand, datatype=datatype)
     freq_range = _freq_range(args)
     y_name = "sd_db" if args.measure == "sd" else "mse_ratio"
     if args.mode == "frequency":
@@ -231,16 +203,15 @@ def cmd_diff(args):
 
 
 def cmd_sweep(args):
+    if args.max_order < 1:
+        raise ValueError(f"max order must be >= 1, got {args.max_order}")
     reference = _load(args.reference)
     family = BasisFamily.parse(args.family)
-    model = fit_basis_model("", reference, family, 1, None)
-    at = _comparison_coords(reference, model)
     orders = np.arange(1, args.max_order + 1)
     errors = []
     for order in orders:
-        if order > 1:
-            model = fit_basis_model("", reference, family, int(order), None)
-        diff = DirectivityDiff("", reference, model, at, DataType.LINEAR_MAGNITUDE)
+        model = fit_basis_model("", reference, family, int(order), None)
+        diff = DirectivityDiff("", reference, model, datatype=DataType.LINEAR_MAGNITUDE)
         errors.append(diff.compute_mse())
     series = PlotSeries("mse", orders.astype(float), np.array(errors))
     print(

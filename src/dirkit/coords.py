@@ -101,7 +101,8 @@ class CoordinateSet:
     A dimension flagged continuous stores exactly two limit values instead
     of an explicit list; for the direction dimension those are elevation
     limits (azimuth is unrestricted). An empty distance input defaults to
-    a single distance of 1 m.
+    a single distance of 1 m. A tuple of `Direction`s is kept as it is, so
+    a set built from another set's directions holds that very tuple.
     """
 
     directions: tuple = ()
@@ -118,7 +119,9 @@ class CoordinateSet:
             if not (-90.0 <= dirs[0] and dirs[1] <= 90.0):
                 raise ValueError(f"elevation limits {dirs} outside [-90, +90]")
         else:
-            dirs = tuple(_as_direction(d) for d in self.directions)
+            dirs = self.directions
+            if type(dirs) is not tuple or not all(type(d) is Direction for d in dirs):
+                dirs = tuple(_as_direction(d) for d in dirs)
             seen = set()
             for d in dirs:
                 key = (d.azimuth, d.elevation)
@@ -154,7 +157,7 @@ class CoordinateSet:
     _validated = True
 
     @classmethod
-    def _unchecked(cls, directions, frequencies, distances, continuity):
+    def _unchecked(cls, directions, frequencies, distances, continuity=DISCRETE):
         """Build without validation. Coercion output may hold duplicates."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "_validated", False)
@@ -273,24 +276,9 @@ def _snap_directions(base, requested):
             Direction(d.azimuth, min(max(d.elevation, lo), hi))
             for d in requested.directions
         )
-    if _same_directions(base, requested):
+    if requested.directions is base.directions:
         return base._self_snap
     return _lookup_directions(base, requested._azimuths, requested._elevations)
-
-
-def _same_directions(base, requested):
-    """Whether the requested directions are the stored ones, bit for bit."""
-    if requested.directions is base.directions:
-        return True
-    if len(requested.directions) != len(base.directions):
-        return False
-    return all(
-        np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        for a, b in (
-            (requested._azimuths, base._azimuths),
-            (requested._elevations, base._elevations),
-        )
-    )
 
 
 def _lookup_directions(base, req_az, req_el):
@@ -429,6 +417,18 @@ def _wrap_degrees(angle):
     return np.where(wrapped == 360.0, 0.0, wrapped)
 
 
+def _swapped_angles(first, second, swap):
+    """Angles (longitude, latitude) after the axis swap `swap(x, y, z)`;
+    the longitude at the swapped poles is undefined and set to 0."""
+    x, y, z = swap(*kernels._unit_vectors(first, second))
+    latitude = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
+    longitude = _wrap_degrees(np.degrees(np.arctan2(y, x)))
+    longitude = np.where(x * x + y * y < _POLE_TOL * _POLE_TOL, 0.0, longitude)
+    if np.isscalar(first) and np.isscalar(second):
+        return float(longitude), float(latitude)
+    return longitude, latitude
+
+
 def spherical_to_interaural(azimuth, elevation):
     """Vertical-polar (azimuth, elevation) to interaural-polar (polar, lateral).
 
@@ -437,26 +437,12 @@ def spherical_to_interaural(azimuth, elevation):
     maps to polar +90, the left ear (90, 0) to lateral -90. At
     |lateral| = 90 the polar angle is undefined and set to 0.
     """
-    x, y, z = kernels._unit_vectors(azimuth, elevation)
-    xr, yr, zr = x, z, -y
-    lateral = np.degrees(np.arcsin(np.clip(zr, -1.0, 1.0)))
-    polar = _wrap_degrees(np.degrees(np.arctan2(yr, xr)))
-    polar = np.where(xr * xr + yr * yr < _POLE_TOL * _POLE_TOL, 0.0, polar)
-    if np.isscalar(azimuth) and np.isscalar(elevation):
-        return float(polar), float(lateral)
-    return polar, lateral
+    return _swapped_angles(azimuth, elevation, lambda x, y, z: (x, z, -y))
 
 
 def interaural_to_spherical(polar, lateral):
     """Inverse of spherical_to_interaural, axis swap (x, y, z) -> (x, -z, y)."""
-    xr, yr, zr = kernels._unit_vectors(polar, lateral)
-    x, y, z = xr, -zr, yr
-    elevation = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
-    azimuth = _wrap_degrees(np.degrees(np.arctan2(y, x)))
-    azimuth = np.where(x * x + y * y < _POLE_TOL * _POLE_TOL, 0.0, azimuth)
-    if np.isscalar(polar) and np.isscalar(lateral):
-        return float(azimuth), float(elevation)
-    return azimuth, elevation
+    return _swapped_angles(polar, lateral, lambda x, y, z: (x, -z, y))
 
 
 def great_circle_angle(azimuth_a, elevation_a, azimuth_b, elevation_b):

@@ -253,12 +253,13 @@ class Directivity(ABC):
     def balloon_grid(self, frequency, distance=1.0, datatype=DataType.LOG_MAGNITUDE):
         """Values over direction at one frequency/distance.
 
-        Direction-discrete representations report every stored direction;
-        direction-continuous ones are sampled on a 5-degree equiangular
-        grid inside the elevation limits.
+        Direction-discrete representations report every stored direction,
+        read at the stored tuple itself; direction-continuous ones are
+        sampled on a 5-degree equiangular grid inside the elevation limits.
         """
         if not datatype.is_spectral:
             raise ValueError("balloon_grid needs a spectral datatype")
+        dirs = self.coords.directions
         if self.coords.continuity.direction:
             lo, hi = self.coords.elevation_limits
             elevations = np.arange(-90.0, 90.0 + BALLOON_STEP_DEG, BALLOON_STEP_DEG)
@@ -267,13 +268,12 @@ class Directivity(ABC):
             dirs = tuple(
                 Direction(az, el) for el in elevations for az in azimuths
             )
-        else:
-            dirs = self.coords.directions
-        requested = CoordinateSet(
-            directions=dirs,
-            frequencies=(float(frequency),),
-            distances=(float(distance),),
+        # Only frequency and distance need checking: the directions are
+        # distinct or the stored tuple (a diff's may repeat the pole).
+        point = CoordinateSet(
+            frequencies=(float(frequency),), distances=(float(distance),)
         )
+        requested = CoordinateSet._unchecked(dirs, point.frequencies, point.distances)
         volume = self.get_data_matrix(requested, datatype)
         return BalloonGrid(
             volume.coords.directions, volume.values[:, 0, 0], volume.coords

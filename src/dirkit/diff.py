@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .coords import discrete_read_indices, great_circle_angle
+from .coords import CoordinateSet, discrete_read_indices, great_circle_angle
 from .core import DataType, DataVolume, Directivity, gather
 from .errors import CoordinateMismatchError
 
@@ -68,8 +68,29 @@ def _max_deviation(ref_coords, eva_coords):
     )
 
 
+def _comparison_grid(reference, evaluand):
+    """The reference's stored coordinates, keeping only the bins inside a
+    frequency-continuous evaluand's limits."""
+    base = reference.coords
+    if not base.is_discrete:
+        raise ValueError("the reference must store discrete coordinates")
+    if not evaluand.coords.continuity.frequency:
+        return base
+    lo, hi = evaluand.coords.frequencies
+    freqs = base.frequency_array
+    kept = freqs[(freqs >= lo) & (freqs <= hi)]
+    if not kept.size:
+        raise ValueError("no reference frequency bins inside the evaluand's limits")
+    return CoordinateSet._unchecked(base.directions, kept.tolist(), base.distances)
+
+
 class DirectivityDiff(Directivity):
-    """Differences evaluand - reference at shared coordinates."""
+    """Differences evaluand - reference at shared coordinates.
+
+    Both are read at `at`, by default the comparison grid: the reference's
+    stored coordinates, keeping only the bins inside the evaluand's limits
+    when it is continuous in frequency (a fitted model's leave out DC).
+    """
 
     def __init__(self, info, reference, evaluand, at=None, datatype=DataType.LOG_MAGNITUDE):
         if datatype not in _DIFF_TYPES:
@@ -77,7 +98,7 @@ class DirectivityDiff(Directivity):
                 f"diff supports log, lin, and complex datatypes, not {datatype.value}"
             )
         if at is None:
-            at = reference.coords
+            at = _comparison_grid(reference, evaluand)
         ref_vol = reference.get_data_matrix(at, datatype)
         eva_vol = evaluand.get_data_matrix(at, datatype)
 

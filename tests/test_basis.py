@@ -482,8 +482,10 @@ def test_fits_and_diffs_build_the_direction_table_once(monkeypatch):
             frequencies=model.source_bins,
             distances=raw.coords.distances,
         )
+        assert grid.directions is raw.coords.directions
         sds.append(DirectivityDiff("", raw, model, grid).compute_sd())
         DirectivityDiff("", raw, model, grid, DataType.LINEAR_MAGNITUDE).compute_mse()
+        model.balloon_grid(1000.0 * order, 2.0)
     # One table over the 37 distinct stored keys, built on the first fit.
     assert calls == [37]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))

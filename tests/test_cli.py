@@ -247,6 +247,21 @@ def test_sweep_fits_each_order_once(workspace, capsys, monkeypatch):
     assert fitted == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_sweep_below_order_one_fails_before_any_fit(
+    workspace, capsys, monkeypatch, max_order
+):
+    tmp_path, dird, _ = workspace
+    fitted = []
+    monkeypatch.setattr(dirkit.cli, "fit_basis_model", lambda *args: fitted.append(args))
+    out = tmp_path / "sweep.csv"
+    code, _, stderr = run(["sweep", str(dird), "-k", max_order, "-o", str(out)], capsys)
+    assert code == 1
+    assert stderr == f"error: max order must be >= 1, got {max_order}\n"
+    assert fitted == []
+    assert not out.exists()
+
+
 # -- extract-ir and balloon ----------------------------------------------------
 
 def test_extract_ir_wav(workspace, capsys):
@@ -318,6 +333,8 @@ FAILING = {
         "spectrum", str(d), "-o", str(t / "s.txt")],
     "fit order too big": lambda t, d, m: [
         "fit", str(d), "-k", "40", "-o", str(t / "m.dirm")],
+    "sweep order below one": lambda t, d, m: [
+        "sweep", str(d), "-k", "0", "-o", str(t / "s.csv")],
     "diff empty range": lambda t, d, m: [
         "diff", str(d), str(m), "--fmin", "30000", "-o", str(t / "d.csv")],
     "diff mse on log": lambda t, d, m: [

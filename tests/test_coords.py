@@ -322,6 +322,42 @@ def test_direction_arrays_are_fresh_copies():
     assert list(d_idx) == [0, 1]
 
 
+def test_a_tuple_of_directions_is_kept_as_it_is():
+    stored = _pole_grid()
+    again = CoordinateSet(
+        directions=stored.directions, frequencies=(200.0, 300.0), distances=(2.0,)
+    )
+    assert again.directions is stored.directions
+    pairs = tuple((d.azimuth, d.elevation) for d in stored.directions)
+    for given in (list(stored.directions), pairs, (stored.directions[0],) + pairs[1:]):
+        built = CoordinateSet(directions=given, frequencies=(100.0,))
+        assert built.directions == stored.directions
+        assert built.directions is not given
+        assert all(type(d) is Direction for d in built.directions)
+    # A kept tuple still gets the duplicate check.
+    with pytest.raises(ValueError, match="duplicate direction"):
+        CoordinateSet(directions=(Direction(10.0, 0.0), Direction(370.0, 0.0)))
+
+
+def test_a_read_at_an_equal_tuple_lands_where_one_at_the_stored_tuple_does(monkeypatch):
+    stored = _pole_grid()
+    own = CoordinateSet(directions=stored.directions, frequencies=(100.0,))
+    equal = CoordinateSet(directions=list(stored.directions), frequencies=(100.0,))
+    calls = []
+    original = kernels.crowded_directions
+    monkeypatch.setattr(
+        kernels, "crowded_directions", lambda *a: calls.append(1) or original(*a)
+    )
+    d_own, _, _, actual_own = discrete_read_indices(stored, own)
+    d_equal, _, _, actual_equal = discrete_read_indices(stored, equal)
+    # One table serves both: the stored tuple takes the cached self-read.
+    assert calls == [1]
+    assert d_own is stored._self_snap[0]
+    assert d_equal is not d_own
+    assert np.array_equal(d_own, d_equal)
+    assert actual_own == actual_equal
+
+
 # --------------------------------------------------------------------------
 # grid expansion
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dirkit import (
     CoordinateSet,
     DataType,
     DataVolume,
+    Direction,
     Directivity,
     DirectivityDiff,
     RawIRs,
@@ -442,6 +443,86 @@ def test_diff_serves_its_stored_differences():
     assert volume.values[0, 0, 0] == diff.differences[2, 1, 0]
     with pytest.raises(UnsupportedDatatypeError):
         diff.get_data_matrix(request, DataType.LINEAR_MAGNITUDE)
+
+
+# --------------------------------------------------------------------------
+# the default comparison grid
+# --------------------------------------------------------------------------
+
+def _ringed_set(seed):
+    """Two distances on a grid whose zenith and nadir rings each store
+    their pole six times."""
+    rng = np.random.default_rng(seed)
+    directions = [(60.0 * a, el) for el in (-90.0, -30.0, 0.0, 30.0, 90.0) for a in range(6)]
+    irs = rng.standard_normal((len(directions), 32, 2))
+    return RawIRs("rings", irs, 16000.0, directions, (1.0, 2.0))
+
+
+def test_default_grid_is_the_comparison_grid_bit_for_bit():
+    raw = _ringed_set(SEED + 40)
+    for limits in (None, (1000.0, 6000.0)):
+        model = fit_basis_model("", raw, BasisFamily.FOURIER, 5, limits)
+        lo, hi = model.frequency_limits
+        grid = CoordinateSet(
+            directions=raw.coords.directions,
+            frequencies=[f for f in raw.coords.frequencies if lo <= f <= hi],
+            distances=raw.coords.distances,
+        )
+        assert grid.directions is raw.coords.directions
+        for datatype in (DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE):
+            default = DirectivityDiff("", raw, model, datatype=datatype)
+            explicit = DirectivityDiff("", raw, model, grid, datatype)
+            assert default.coords == explicit.coords
+            assert default.coords.frequencies == grid.frequencies
+            assert np.array_equal(default.differences, explicit.differences)
+            assert np.array_equal(default.reference_values, explicit.reference_values)
+
+
+def test_two_discrete_objects_compare_at_the_reference_coords(monkeypatch):
+    raw = _ringed_set(SEED + 41)
+    other = _ringed_set(SEED + 42)
+    requests = []
+    read = RawIRs.get_data_matrix
+
+    def recording(self, requested, datatype):
+        requests.append(requested)
+        return read(self, requested, datatype)
+
+    monkeypatch.setattr(RawIRs, "get_data_matrix", recording)
+    default = DirectivityDiff("", raw, other, datatype=DataType.COMPLEX_SPECTRUM)
+    assert len(requests) == 2 and all(r is raw.coords for r in requests)
+    explicit = DirectivityDiff("", raw, other, raw.coords, DataType.COMPLEX_SPECTRUM)
+    assert np.array_equal(default.differences, explicit.differences)
+
+
+def test_default_grid_errors_name_the_reference_and_the_limits():
+    raw = random_set(np.random.default_rng(SEED + 43), RING4, length=32)
+    model = fit_basis_model("", raw, BasisFamily.FOURIER, 3)
+    with pytest.raises(ValueError, match="the reference must store discrete coordinates"):
+        DirectivityDiff("", model, raw)
+    # Bins every 250 Hz; the model holds the one bin at 1250 Hz, between
+    # the reference's bins every 500 Hz.
+    fine = random_set(np.random.default_rng(SEED + 44), RING4, length=64)
+    narrow = fit_basis_model("", fine, BasisFamily.FOURIER, 1, (1200.0, 1300.0))
+    assert narrow.frequency_limits == (1250.0, 1250.0)
+    with pytest.raises(ValueError, match="no reference frequency bins inside"):
+        DirectivityDiff("", raw, narrow)
+
+
+def test_balloon_of_a_diff_with_pole_rings_is_its_own_read():
+    raw = _ringed_set(SEED + 45)
+    model = fit_basis_model("", raw, BasisFamily.FOURIER, 4)
+    diff = DirectivityDiff("", raw, model)
+    # Each ring's pole rows all landed on its first row.
+    assert diff.coords.directions.count(Direction(0.0, 90.0)) == 6
+    assert diff.coords.directions.count(Direction(0.0, -90.0)) == 6
+    bin_index = diff.coords.frequencies.index(3000.0)
+    for frequency in (3000.0, 3100.0):
+        for r, distance in enumerate(diff.coords.distances):
+            grid = diff.balloon_grid(frequency, distance)
+            assert grid.directions == diff.coords.directions
+            assert grid.coords.frequencies == (3000.0,)
+            assert np.array_equal(grid.values, diff.differences[:, bin_index, r])
 
 
 # --------------------------------------------------------------------------
