@@ -226,6 +226,11 @@ class CoordinateSet:
         }
 
     @cached_property
+    def _direction_index(self):
+        """The search index of the stored directions, built on the first miss."""
+        return kernels.direction_index(self._azimuths, self._elevations)
+
+    @cached_property
     def _self_snap(self):
         """(indices, directions) of a read at this set's own directions."""
         idx, dirs = _lookup_directions(self, self._azimuths, self._elevations)
@@ -250,7 +255,13 @@ class CoordinateSet:
         return np.array(self.distances, dtype=np.float64)
 
 
-_DIRECTION_CACHES = ("_azimuths", "_elevations", "_direction_table", "_self_snap")
+_DIRECTION_CACHES = (
+    "_azimuths",
+    "_elevations",
+    "_direction_table",
+    "_direction_index",
+    "_self_snap",
+)
 
 
 def _direction_keys(azimuths, elevations):
@@ -294,10 +305,10 @@ def _lookup_directions(base, req_az, req_el):
         count=len(req_az),
     )
     misses = np.flatnonzero(idx < 0)
-    # An empty stored list goes to the search too, which rejects it.
+    # An empty stored list goes to the search too, whose index rejects it.
     if misses.size or not base.directions:
         idx[misses] = kernels.nearest_direction(
-            base._azimuths, base._elevations, req_az[misses], req_el[misses]
+            base._direction_index, req_az[misses], req_el[misses]
         )
     return idx, tuple(base.directions[i] for i in idx.tolist())
 

@@ -491,6 +491,28 @@ def test_fits_and_diffs_build_the_direction_table_once(monkeypatch):
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))
 
 
+def test_fits_share_the_direction_index_of_their_source(monkeypatch):
+    builds = []
+    build = kernels.direction_index
+    monkeypatch.setattr(
+        kernels, "direction_index", lambda az, el: builds.append(len(az)) or build(az, el)
+    )
+    raw = _polar_grid_raw(SEED + 52)
+    off_grid = CoordinateSet(
+        directions=[(7.0, 3.0), (200.0, -80.0), (95.0, 89.0)],
+        frequencies=(1000.0, 5000.0),
+        distances=raw.coords.distances,
+    )
+    expected = raw.get_data_matrix(off_grid, DataType.LOG_MAGNITUDE).coords
+    for order in range(1, 9):
+        model = fit_basis_model("", raw, "fourier", order)
+        volume = model.get_data_matrix(off_grid, DataType.LOG_MAGNITUDE)
+        assert volume.coords.directions == expected.directions
+        assert model.coords._direction_index is raw.coords._direction_index
+    # One index over the 48 stored directions, built on the first off-grid read.
+    assert builds == [48]
+
+
 def test_fitted_model_equals_the_publicly_built_one(tmp_path):
     raw = _polar_grid_raw(SEED + 51)
     for family in ("fourier", "cosine"):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirkit import (
     Continuity,
     CoordinateSet,
     DataType,
     DirectivityDiff,
+    Direction,
     RawIRs,
     SynthSpec,
     UnsupportedDatatypeError,
@@ -334,3 +337,51 @@ def test_a_diff_keeps_its_differences_apart_from_its_inputs(datatype):
     np.testing.assert_array_equal(diff.reference_values, before[0])
     for obj, values in zip((raw, evaluand), before):
         np.testing.assert_array_equal(obj.get_data_matrix(at, datatype).values, values)
+
+
+# --------------------------------------------------------------------------
+# A matrix read at off-grid directions is the stack of single-direction reads
+# --------------------------------------------------------------------------
+
+# Stops at -40 degrees, so requests below it search far from every
+# stored direction.
+CAP_SPEC = SynthSpec(mode="lowpass", azimuth_step=20.0, elevation_step=10.0,
+                     elevation_limits=(-40.0, 90.0), length=32)
+
+
+@pytest.fixture(scope="module")
+def cap_objects():
+    raw = synth_test_set(CAP_SPEC)
+    model = fit_basis_model("", raw, "fourier", 5)
+    return {"raw": raw, "model": model, "diff": DirectivityDiff("", raw, model)}
+
+
+@pytest.mark.parametrize("kind", ["raw", "model", "diff"])
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(
+    st.tuples(st.floats(min_value=-720.0, max_value=720.0),
+              st.floats(min_value=-90.0, max_value=90.0)),
+    min_size=1, max_size=8,
+))
+def test_matrix_read_is_the_stack_of_single_direction_reads(cap_objects, kind, pairs):
+    obj = cap_objects[kind]
+    directions = list({(d.azimuth, d.elevation): d
+                       for d in (Direction(az, el) for az, el in pairs)}.values())
+    frequencies, distances = (1000.0, 3000.0, 7000.0), (1.0,)
+    volume = obj.get_data_matrix(
+        CoordinateSet(directions=directions, frequencies=frequencies, distances=distances),
+        DataType.LOG_MAGNITUDE,
+    )
+    singles = [
+        obj.get_data_matrix(
+            CoordinateSet(directions=[d], frequencies=frequencies, distances=distances),
+            DataType.LOG_MAGNITUDE,
+        )
+        for d in directions
+    ]
+    stacked = np.concatenate([single.values for single in singles], axis=0)
+    assert volume.values.tobytes() == stacked.tobytes()
+    assert volume.coords.directions == tuple(s.coords.directions[0] for s in singles)
+    for single in singles:
+        assert single.coords.frequencies == volume.coords.frequencies
+        assert single.coords.distances == volume.coords.distances

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dirkit import kernels
 from dirkit.kernels import (
     cosine_basis,
+    direction_index,
     fourier_basis,
     nearest_direction,
     nearest_value,
@@ -41,7 +43,7 @@ def test_nearest_direction_matches_brute_force():
     rng = np.random.default_rng(SEED)
     base_az, base_el = _random_directions(rng, 50)
     req_az, req_el = _random_directions(rng, 80)
-    idx = nearest_direction(base_az, base_el, req_az, req_el)
+    idx = nearest_direction(direction_index(base_az, base_el), req_az, req_el)
     expected = np.argmin(_angle_matrix(base_az, base_el, req_az, req_el), axis=1)
     assert np.array_equal(idx, expected)
 
@@ -49,7 +51,9 @@ def test_nearest_direction_matches_brute_force():
 def test_nearest_direction_tie_takes_first_index():
     base_az = np.array([10.0, 10.0, 200.0])
     base_el = np.array([5.0, 5.0, 0.0])
-    idx = nearest_direction(base_az, base_el, np.array([10.0]), np.array([5.0]))
+    idx = nearest_direction(
+        direction_index(base_az, base_el), np.array([10.0]), np.array([5.0])
+    )
     assert int(idx[0]) == 0
 
 
@@ -57,14 +61,18 @@ def test_nearest_direction_antipodal_midpoint_resolved_consistently():
     # request exactly between the two base points: both 90 degrees away
     base_az = np.array([0.0, 180.0])
     base_el = np.array([0.0, 0.0])
-    idx = nearest_direction(base_az, base_el, np.array([90.0]), np.array([0.0]))
+    idx = nearest_direction(
+        direction_index(base_az, base_el), np.array([90.0]), np.array([0.0])
+    )
     assert int(idx[0]) == 0
 
 
 def test_nearest_direction_empty_base_rejected():
     with pytest.raises(ValueError):
         nearest_direction(
-            np.array([]), np.array([]), np.array([0.0]), np.array([0.0])
+            direction_index(np.array([]), np.array([])),
+            np.array([0.0]),
+            np.array([0.0]),
         )
 
 
@@ -75,11 +83,48 @@ def test_nearest_direction_memory_stays_bounded():
     req_az, req_el = _random_directions(rng, 4000)
     tracemalloc.start()
     try:
-        nearest_direction(base_az, base_el, req_az, req_el)
+        nearest_direction(direction_index(base_az, base_el), req_az, req_el)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_nearest_direction_memory_stays_bounded_when_bands_span_the_set(monkeypatch):
+    # Stored directions 4 to 5 degrees from the zenith, requests at the
+    # nadir: the nearest stored direction is so little nearer than the
+    # farthest that every band holds all 4000 stored directions.
+    rng = np.random.default_rng(SEED + 5)
+    base_az, base_el = rng.uniform(0, 360, 4000), rng.uniform(85, 86, 4000)
+    req_az, req_el = rng.uniform(0, 360, 4000), np.full(4000, -90.0)
+    index = direction_index(base_az, base_el)
+    runs = []
+    best_in_runs = kernels._best_in_runs
+    monkeypatch.setattr(
+        kernels,
+        "_best_in_runs",
+        lambda *args: runs.append(args[-1].min()) or best_in_runs(*args),
+    )
+    tracemalloc.start()
+    try:
+        got = nearest_direction(index, req_az, req_el)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # The seed pass, then the band pass over the whole set for every request.
+    assert runs[1] == 4000
+    bx, by, bz = kernels._unit_vectors(base_az, base_el)
+    rx, ry, rz = kernels._unit_vectors(req_az, req_el)
+    expected = [np.argmax(x * bx + y * by + z * bz) for x, y, z in zip(rx, ry, rz)]
+    assert got.tolist() == expected
+
+
+def test_nearest_direction_rejects_non_finite_requests():
+    index = direction_index(np.array([0.0, 90.0]), np.array([0.0, 45.0]))
+    for az, el in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest_direction(index, np.array([10.0, az]), np.array([0.0, el]))
 
 
 # --------------------------------------------------------------------------

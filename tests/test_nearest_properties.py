@@ -64,7 +64,9 @@ def test_nearest_direction_matches_oracle(base, extra, copies, chunk):
     base_az, base_el = (np.array(v, dtype=np.float64) for v in zip(*base))
     req_az, req_el = (np.array(v, dtype=np.float64) for v in zip(*requests))
     with mock.patch.object(kernels, "_CHUNK_ELEMENTS", chunk):
-        got = kernels.nearest_direction(base_az, base_el, req_az, req_el)
+        got = kernels.nearest_direction(
+            kernels.direction_index(base_az, base_el), req_az, req_el
+        )
     assert got.dtype == np.int64
     assert got.tolist() == _direction_oracle(base_az, base_el, req_az, req_el)
 
@@ -72,12 +74,68 @@ def test_nearest_direction_matches_oracle(base, extra, copies, chunk):
 def test_nearest_direction_crosses_chunk_boundaries_at_full_size():
     rng = np.random.default_rng(20240813)
     base_az, base_el = rng.uniform(0, 360, 3000), rng.uniform(-90, 90, 3000)
-    # 2**18 // 3000 = 87 requests per chunk; 400 requests fill 5 chunks.
+    # The bands of the 400 requests hold tens of thousands of pairs, which
+    # fill several chunks of _CHUNK_ELEMENTS pairs.
     req_az = np.concatenate([base_az[:200], rng.uniform(0, 360, 200)])
     req_el = np.concatenate([base_el[:200], rng.uniform(-90, 90, 200)])
-    got = kernels.nearest_direction(base_az, base_el, req_az, req_el)
+    got = kernels.nearest_direction(
+        kernels.direction_index(base_az, base_el), req_az, req_el
+    )
     assert got.tolist() == _direction_oracle(base_az, base_el, req_az, req_el)
     assert got[:200].tolist() == list(range(200))
+
+
+# The banded search keeps only the stored directions whose z lies within
+# reach of the request's; these stored sets make that band anything from
+# one ring to the whole set.
+ring_azimuths = st.lists(
+    st.sampled_from([0.0, 30.0, 90.0, 180.0, 270.0, 359.0]), min_size=1, max_size=12
+)
+
+
+@st.composite
+def banded_cases(draw):
+    """(stored, requests): stored directions in a cap above a drawn lowest
+    elevation, with rings of equal z that repeat azimuths and a pole
+    cluster; requests at stored z values, antipodal, and anywhere."""
+    floor = draw(st.sampled_from([-90.0, -40.0, 60.0]))
+    in_cap = st.floats(min_value=floor, max_value=90.0, allow_nan=False)
+    stored = draw(st.lists(st.tuples(azimuths, in_cap), max_size=12))
+    for el in draw(st.lists(in_cap, max_size=3)):
+        stored += [(az, el) for az in draw(ring_azimuths)]
+    if draw(st.booleans()):
+        pole = draw(st.sampled_from([90.0, -90.0] if floor == -90.0 else [90.0]))
+        count = draw(st.integers(min_value=101, max_value=130))
+        stored += [(360.0 * i / count, pole) for i in range(count)]
+    stored = draw(st.permutations(stored + [draw(st.tuples(azimuths, in_cap))]))
+    stored = stored[: draw(st.sampled_from([1, 2, len(stored)]))]
+    free = draw(st.lists(directions, max_size=10))
+    requests = (
+        stored
+        + [(az + 180.0, -el) for az, el in stored]
+        + [(az, el) for (az, _), (_, el) in zip(free, stored)]
+        + free
+        + [(az, 90.0) for az, _ in free]
+        + [(az, -90.0) for az, _ in free]
+    )
+    return stored, requests
+
+
+@PROPERTY
+@given(case=banded_cases())
+def test_banded_search_matches_oracle(case):
+    # One-direction seeds and one-pair chunks: the band comes from the
+    # worst seeds, and every run is cut apart from its neighbours.
+    stored, requests = case
+    base_az, base_el = (np.array(v, dtype=np.float64) for v in zip(*stored))
+    req_az, req_el = (np.array(v, dtype=np.float64) for v in zip(*requests))
+    with mock.patch.object(kernels, "_SEED_WIDTH", 1), mock.patch.object(
+        kernels, "_CHUNK_ELEMENTS", 1
+    ):
+        got = kernels.nearest_direction(
+            kernels.direction_index(base_az, base_el), req_az, req_el
+        )
+    assert got.tolist() == _direction_oracle(base_az, base_el, req_az, req_el)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +249,7 @@ def test_reads_at_own_directions_match_brute_force(extra, shuffle):
     shuffle.shuffle(stored_dirs)
     stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
     az, el = stored.azimuth_array, stored.elevation_array
-    expected = kernels.nearest_direction(az, el, az, el).tolist()
+    expected = kernels.nearest_direction(kernels.direction_index(az, el), az, el).tolist()
     assert expected == _direction_oracle(az, el, az, el)
     rebuilt = CoordinateSet(
         directions=[(d.azimuth, d.elevation) for d in stored_dirs],

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dirkit
+from dirkit import coords
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,3 +57,23 @@ def test_install_records_spans_and_uninstall_restores():
         assert metrics[f"{name}.self_ms"][0] > 0.0
     assert metrics["basis.fit_basis_model.calls"][0] == 1
     assert [_namespace(m, o)[a] for m, o, a in keys] == originals
+
+
+def test_direction_queries_count_the_table_misses():
+    raw = dirkit.synth_test_set(dirkit.SynthSpec(mode="lowpass", azimuth_step=30.0))
+    stored = raw.coords.directions
+    request = dirkit.CoordinateSet(
+        directions=[stored[0], (3.0, 4.0), stored[5], (100.5, -12.25), (7.0, -80.0)],
+        frequencies=(1000.0,),
+        distances=raw.coords.distances,
+    )
+    keys = coords._direction_keys(request._azimuths, request._elevations)
+    misses = sum(key not in raw.coords._direction_table for key in keys)
+    assert misses == 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        raw.get_data_matrix(request, dirkit.DataType.LOG_MAGNITUDE)
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["kernels.nearest_direction.queries"][0] == misses
