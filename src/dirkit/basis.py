@@ -21,8 +21,9 @@ rejected.
 
 A fitted model keeps the source's validated directions and distances as
 they are: its coordinate set holds the same directions tuple and shares
-the source's direction table, so fitting many orders builds that table
-once and a read at the source's directions is a cached lookup. The
+the source's search index and cached read at its own directions, which
+the fit's read at the source builds, so fitting many orders builds them
+once and a read at the source's directions does no search. The
 coefficients are stored C-contiguous, and a read gathers the rows it
 needs with `core.gather` before one matrix product.
 

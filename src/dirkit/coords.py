@@ -9,7 +9,6 @@ Conventions used across the whole package:
     right ear; polar in [0, 360), 0 toward the front, +90 toward zenith
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -208,34 +207,30 @@ class CoordinateSet:
         return np.array([d.elevation for d in self.directions], dtype=np.float64)
 
     @cached_property
-    def _direction_table(self):
-        """Direction key -> stored index, the first index on a repeated key.
-
-        A key whose direction is crowded by another stored one is left
-        out, so requests there take the search and keep its answer.
-        """
-        first = {}
-        for i, key in enumerate(_direction_keys(self._azimuths, self._elevations)):
-            first.setdefault(key, i)
-        rows = np.fromiter(first.values(), dtype=np.int64, count=len(first))
-        crowded = kernels.crowded_directions(
-            self._azimuths[rows], self._elevations[rows]
-        )
-        return {
-            key: i for (key, i), c in zip(first.items(), crowded.tolist()) if not c
-        }
-
-    @cached_property
     def _direction_index(self):
-        """The search index of the stored directions, built on the first miss."""
+        """The search index of the stored directions, built on first use."""
         return kernels.direction_index(self._azimuths, self._elevations)
 
     @cached_property
     def _self_snap(self):
-        """(indices, directions) of a read at this set's own directions."""
-        idx, dirs = _lookup_directions(self, self._azimuths, self._elevations)
+        """(indices, directions) of a read at this set's own directions.
+
+        Each uncrowded stored direction is its own nearest (see
+        kernels.crowded_directions); only the crowded ones are searched,
+        which sends every copy of a pole to its first row. The index is
+        built even when nothing is searched, so an empty list is
+        rejected and a fitted model shares it.
+        """
+        index = self._direction_index
+        idx = np.arange(len(self.directions), dtype=np.int64)
+        rows = np.flatnonzero(
+            kernels.crowded_directions(self._azimuths, self._elevations)
+        )
+        idx[rows] = kernels.nearest_direction(
+            index, self._azimuths[rows], self._elevations[rows]
+        )
         idx.setflags(write=False)
-        return idx, dirs
+        return idx, tuple(self.directions[i] for i in idx.tolist())
 
     def _with_direction_caches(self, source):
         """This set, holding `source`'s direction caches when both hold the
@@ -258,16 +253,9 @@ class CoordinateSet:
 _DIRECTION_CACHES = (
     "_azimuths",
     "_elevations",
-    "_direction_table",
     "_direction_index",
     "_self_snap",
 )
-
-
-def _direction_keys(azimuths, elevations):
-    """Exact-match keys (azimuth, elevation); every azimuth at a pole is one point."""
-    at_pole = np.abs(elevations) == 90.0
-    return zip(np.where(at_pole, 0.0, azimuths).tolist(), elevations.tolist())
 
 
 class CoercionResult(NamedTuple):
@@ -293,23 +281,8 @@ def _snap_directions(base, requested):
 
 
 def _lookup_directions(base, req_az, req_el):
-    """Indices and stored directions nearest to the requested ones.
-
-    Requests at a stored direction are looked up; only the rest are
-    searched. Both give the index the search alone would.
-    """
-    table = base._direction_table
-    idx = np.fromiter(
-        map(table.get, _direction_keys(req_az, req_el), itertools.repeat(-1)),
-        dtype=np.int64,
-        count=len(req_az),
-    )
-    misses = np.flatnonzero(idx < 0)
-    # An empty stored list goes to the search too, whose index rejects it.
-    if misses.size or not base.directions:
-        idx[misses] = kernels.nearest_direction(
-            base._direction_index, req_az[misses], req_el[misses]
-        )
+    """Indices and stored directions nearest to the requested ones."""
+    idx = kernels.nearest_direction(base._direction_index, req_az, req_el)
     return idx, tuple(base.directions[i] for i in idx.tolist())
 
 

@@ -456,23 +456,28 @@ def test_rank_deficient_design_is_rejected(monkeypatch):
 # fitted models share the source's coordinates
 # --------------------------------------------------------------------------
 
-def _polar_grid_raw(seed):
-    """Two distances on a grid whose zenith row stores the pole 12 times."""
+def _polar_grid_raw(seed, top=90.0):
+    """Two distances on a 48-direction grid whose top row, at the default
+    elevation, stores the zenith 12 times."""
     rng = np.random.default_rng(seed)
-    directions = [(30.0 * a, el) for el in (-30.0, 0.0, 30.0, 90.0) for a in range(12)]
+    directions = [(30.0 * a, el) for el in (-30.0, 0.0, 30.0, top) for a in range(12)]
     irs = rng.standard_normal((len(directions), 32, 2))
     return RawIRs("grid", irs, 16000.0, directions, (1.0, 2.0))
 
 
-def test_fits_and_diffs_build_the_direction_table_once(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Log the direction count of every call to kernels.`name`."""
     calls = []
-    crowded = kernels.crowded_directions
+    original = getattr(kernels, name)
+    monkeypatch.setattr(
+        kernels, name, lambda az, el: calls.append(len(az)) or original(az, el)
+    )
+    return calls
 
-    def counting(*args):
-        calls.append(len(args[0]))
-        return crowded(*args)
 
-    monkeypatch.setattr(kernels, "crowded_directions", counting)
+def test_fits_and_diffs_build_the_crowded_mask_and_index_once(monkeypatch):
+    masks = _count_calls(monkeypatch, "crowded_directions")
+    builds = _count_calls(monkeypatch, "direction_index")
     raw = _polar_grid_raw(SEED + 50)
     sds = []
     for order in range(1, 9):
@@ -486,17 +491,15 @@ def test_fits_and_diffs_build_the_direction_table_once(monkeypatch):
         sds.append(DirectivityDiff("", raw, model, grid).compute_sd())
         DirectivityDiff("", raw, model, grid, DataType.LINEAR_MAGNITUDE).compute_mse()
         model.balloon_grid(1000.0 * order, 2.0)
-    # One table over the 37 distinct stored keys, built on the first fit.
-    assert calls == [37]
+    # One mask and one index over the 48 stored directions, built on the
+    # first fit's read at the source's own tuple.
+    assert masks == [48]
+    assert builds == [48]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))
 
 
 def test_fits_share_the_direction_index_of_their_source(monkeypatch):
-    builds = []
-    build = kernels.direction_index
-    monkeypatch.setattr(
-        kernels, "direction_index", lambda az, el: builds.append(len(az)) or build(az, el)
-    )
+    builds = _count_calls(monkeypatch, "direction_index")
     raw = _polar_grid_raw(SEED + 52)
     off_grid = CoordinateSet(
         directions=[(7.0, 3.0), (200.0, -80.0), (95.0, 89.0)],
@@ -511,6 +514,17 @@ def test_fits_share_the_direction_index_of_their_source(monkeypatch):
         assert model.coords._direction_index is raw.coords._direction_index
     # One index over the 48 stored directions, built on the first off-grid read.
     assert builds == [48]
+    # Fit first, read the model off-grid, then the source: the fit's read at
+    # the source's own tuple built the one index, also on the grid without
+    # a pole, where that read searches nothing.
+    for top in (90.0, 60.0):
+        builds.clear()
+        raw = _polar_grid_raw(SEED + 53, top)
+        model = fit_basis_model("", raw, "fourier", 4)
+        volume = model.get_data_matrix(off_grid, DataType.LOG_MAGNITUDE)
+        expected = raw.get_data_matrix(off_grid, DataType.LOG_MAGNITUDE).coords
+        assert volume.coords.directions == expected.directions
+        assert builds == [48]
 
 
 def test_fitted_model_equals_the_publicly_built_one(tmp_path):

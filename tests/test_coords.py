@@ -1,5 +1,7 @@
 """Coordinate model: validation, coercion, conversion, grids."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dirkit import (
     spherical_to_interaural,
 )
 from dirkit import kernels
-from dirkit.coords import discrete_read_indices
+from dirkit.coords import _DIRECTION_CACHES, discrete_read_indices
 from dirkit.formats import read_dird, write_dird
 from dirkit.rawirs import RawIRs
 
@@ -281,7 +283,7 @@ def test_reads_at_a_pole_land_on_its_first_stored_row():
     assert actual.directions[0] == Direction(0.0, 90.0)
 
 
-def test_on_grid_reads_do_not_search(monkeypatch):
+def test_reads_at_the_stored_tuple_search_only_crowded_rows(monkeypatch):
     stored = _pole_grid()
     calls = []
     original = kernels.nearest_direction
@@ -291,12 +293,17 @@ def test_on_grid_reads_do_not_search(monkeypatch):
         lambda *args: calls.append(len(args[2])) or original(*args),
     )
     d_idx, _, _, _ = discrete_read_indices(stored, stored)
-    assert calls == []
+    # Only the 36 copies of each pole are crowded.
+    assert calls == [72]
+    assert list(d_idx) == [0] * 36 + list(range(36, 648)) + [648] * 36
+    equal = CoordinateSet(directions=list(stored.directions), frequencies=(100.0,))
+    discrete_read_indices(stored, equal)
+    assert calls == [72, 684]
     off_grid = CoordinateSet(
         directions=list(stored.directions[:5]) + [(3.0, 4.0)], frequencies=(100.0,)
     )
     d_idx, _, _, _ = discrete_read_indices(stored, off_grid)
-    assert calls == [1]
+    assert calls == [72, 684, 6]
     assert list(d_idx) == [0, 0, 0, 0, 0, stored.directions.index(Direction(0.0, 0.0))]
 
 
@@ -313,13 +320,33 @@ def test_crowded_directions_keep_the_search_answer():
 
 def test_direction_arrays_are_fresh_copies():
     cs = CoordinateSet(directions=[(10.0, 20.0), (30.0, -40.0)], frequencies=(100.0,))
-    assert "_direction_table" not in vars(cs)
+    assert not any(name in vars(cs) for name in _DIRECTION_CACHES)
     cs.azimuth_array[:] = 0.0
     cs.elevation_array[:] = 0.0
     np.testing.assert_array_equal(cs.azimuth_array, [10.0, 30.0])
     np.testing.assert_array_equal(cs.elevation_array, [20.0, -40.0])
     d_idx, _, _, _ = discrete_read_indices(cs, cs)
     assert list(d_idx) == [0, 1]
+
+
+def test_direction_caches_name_cached_properties():
+    # A stale name would make _with_direction_caches share nothing.
+    for name in _DIRECTION_CACHES:
+        assert isinstance(vars(CoordinateSet).get(name), functools.cached_property)
+
+
+def test_reads_at_an_empty_direction_list_raise():
+    empty = CoordinateSet(directions=(), frequencies=(100.0,))
+    requests = (
+        CoordinateSet(directions=empty.directions, frequencies=(100.0,)),
+        # Equal to the stored tuple; CPython keeps one empty tuple, so
+        # this one holds the stored tuple too.
+        CoordinateSet(directions=[], frequencies=(100.0,)),
+        CoordinateSet(directions=[(3.0, 4.0)], frequencies=(100.0,)),
+    )
+    for request in requests:
+        with pytest.raises(ValueError, match="cannot search an empty direction list"):
+            discrete_read_indices(empty, request)
 
 
 def test_a_tuple_of_directions_is_kept_as_it_is():
@@ -350,7 +377,8 @@ def test_a_read_at_an_equal_tuple_lands_where_one_at_the_stored_tuple_does(monke
     )
     d_own, _, _, actual_own = discrete_read_indices(stored, own)
     d_equal, _, _, actual_equal = discrete_read_indices(stored, equal)
-    # One table serves both: the stored tuple takes the cached self-read.
+    # Only the stored tuple takes the cached self-read and its crowded mask;
+    # the equal tuple is searched in full.
     assert calls == [1]
     assert d_own is stored._self_snap[0]
     assert d_equal is not d_own

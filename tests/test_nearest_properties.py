@@ -169,7 +169,7 @@ def test_nearest_value_far_requests_tie_to_the_first_index():
 
 
 # --------------------------------------------------------------------------
-# reads through the exact-match table
+# reads at stored and free directions through the search
 # --------------------------------------------------------------------------
 
 def _unique_directions(pairs):
@@ -229,9 +229,9 @@ def test_reads_at_a_grid_with_pole_duplicates_match_oracle(
 # reads at a set's own directions (the cached self-snap)
 # --------------------------------------------------------------------------
 
-# A 72-row zenith ring and a nadir ring (each one point stored 72 times
-# under one pole key), two directions 1e-10 deg apart, and the zenith
-# stored once more at another azimuth.
+# A 72-row zenith ring and a nadir ring (each one point stored 72 times),
+# two directions 1e-10 deg apart, and the zenith stored once more at
+# another azimuth: every one of them is crowded.
 _RINGS = (
     [(5.0 * i, 90.0) for i in range(72)]
     + [(5.0 * i, -90.0) for i in range(72)]
@@ -260,8 +260,8 @@ def test_reads_at_own_directions_match_brute_force(extra, shuffle):
         d_idx, _, _, actual = discrete_read_indices(stored, request)
         assert d_idx.tolist() == expected
         assert actual.directions == tuple(stored_dirs[i] for i in expected)
-    # Requests of the same length that differ from the stored set take
-    # the lookup and the search.
+    # Requests of the same length that differ from the stored set are
+    # searched in full.
     nudged = [Direction(stored_dirs[0].azimuth + 0.25, 0.0)] + stored_dirs[1:]
     for request_dirs in (stored_dirs[::-1], nudged):
         request = CoordinateSet._unchecked(request_dirs, (100.0,), (1.0,), stored.continuity)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dirkit
-from dirkit import coords
+from dirkit import kernels
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,21 +59,29 @@ def test_install_records_spans_and_uninstall_restores():
     assert [_namespace(m, o)[a] for m, o, a in keys] == originals
 
 
-def test_direction_queries_count_the_table_misses():
-    raw = dirkit.synth_test_set(dirkit.SynthSpec(mode="lowpass", azimuth_step=30.0))
+def test_direction_queries_count_the_requests_off_the_stored_tuple():
+    spec = dirkit.SynthSpec(
+        mode="lowpass", azimuth_step=30.0, elevation_step=45.0, elevation_limits=(0.0, 90.0)
+    )
+    raw = dirkit.synth_test_set(spec)
     stored = raw.coords.directions
     request = dirkit.CoordinateSet(
         directions=[stored[0], (3.0, 4.0), stored[5], (100.5, -12.25), (7.0, -80.0)],
         frequencies=(1000.0,),
         distances=raw.coords.distances,
     )
-    keys = coords._direction_keys(request._azimuths, request._elevations)
-    misses = sum(key not in raw.coords._direction_table for key in keys)
-    assert misses == 3
+    own = dirkit.CoordinateSet(
+        directions=stored, frequencies=(1000.0,), distances=raw.coords.distances
+    )
+    # The zenith is stored once per azimuth.
+    assert kernels.crowded_directions(raw.coords._azimuths, raw.coords._elevations).sum() == 12
     tracer = tracing.Tracer()
     tracer.install()
     try:
         raw.get_data_matrix(request, dirkit.DataType.LOG_MAGNITUDE)
+        raw.get_data_matrix(own, dirkit.DataType.LOG_MAGNITUDE)
     finally:
         tracer.uninstall()
-    assert tracer.metrics()["kernels.nearest_direction.queries"][0] == misses
+    # Every direction of another tuple is searched, stored ones too; a read
+    # at the stored tuple searches only its crowded directions.
+    assert tracer.metrics()["kernels.nearest_direction.queries"][0] == 5 + 12
