@@ -20,9 +20,9 @@ S.max() * max(N, K) * eps of the least-squares solvers, is below K is
 rejected.
 
 A fitted model keeps the source's validated directions and distances as
-they are: its coordinate set holds the same directions tuple and shares
-the source's search index and cached read at its own directions, which
-the fit's read at the source builds, so fitting many orders builds them
+they are: its coordinate set holds the source's directions tuple, and
+with it the search index and cached read at those directions that the
+fit's read at the source builds, so fitting many orders builds them
 once and a read at the source's directions does no search. The
 coefficients are stored C-contiguous, and a read gathers the rows it
 needs with `core.gather` before one matrix product.
@@ -123,11 +123,11 @@ class BasisSpectrumModel(Directivity):
         self._bins = bins
 
     @classmethod
-    def _fitted(cls, info, family, coefficients, fitted_on, source_coords):
+    def _fitted(cls, info, family, coefficients, fitted_on):
         """The model fitted at the validated request `fitted_on`.
 
         Equal to the public constructor's model, but its coordinates are
-        not validated again and share the source's direction caches.
+        not validated again.
         """
         _check_finite(coefficients)
         coords = CoordinateSet._unchecked(
@@ -135,7 +135,7 @@ class BasisSpectrumModel(Directivity):
             (fitted_on.frequencies[0], fitted_on.frequencies[-1]),
             fitted_on.distances,
             Continuity(False, True, False),
-        )._with_direction_caches(source_coords)
+        )
         model = cls.__new__(cls)
         model._setup(info, family, coefficients, fitted_on.frequencies, coords)
         return model
@@ -253,4 +253,4 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     rhs = qtb.transpose(1, 0, 2).reshape(order, d_count * r_count)
     solution = np.linalg.solve(r, rhs)
     coefficients = solution.reshape(order, d_count, r_count).transpose(1, 0, 2)
-    return BasisSpectrumModel._fitted(info, family, coefficients, requested, stored)
+    return BasisSpectrumModel._fitted(info, family, coefficients, requested)

@@ -65,6 +65,51 @@ def _as_direction(value):
     return Direction(float(az), float(el))
 
 
+class _Directions(tuple):
+    """The directions of a discrete set: a tuple of `Direction`s holding
+    the arrays, search index and self-read built from them on first use,
+    which every set holding this very tuple shares."""
+
+    @cached_property
+    def azimuths(self):
+        return np.array([d.azimuth for d in self], dtype=np.float64)
+
+    @cached_property
+    def elevations(self):
+        return np.array([d.elevation for d in self], dtype=np.float64)
+
+    @cached_property
+    def search_index(self):
+        return kernels.direction_index(self.azimuths, self.elevations)
+
+    @cached_property
+    def self_snap(self):
+        """(indices, directions) of a read at these directions.
+
+        Each uncrowded direction is its own nearest (see
+        kernels.crowded_directions); only the crowded ones are searched,
+        which sends every copy of a pole to its first row. When no row
+        moves, the directions are this tuple itself, so the read's actual
+        coordinates share these caches. The index is built even when
+        nothing is searched, so an empty list is rejected.
+        """
+        az, el = self.azimuths, self.elevations
+        idx = np.arange(len(self), dtype=np.int64)
+        rows = np.flatnonzero(kernels.crowded_directions(az, el))
+        idx[rows] = kernels.nearest_direction(self.search_index, az[rows], el[rows])
+        idx.setflags(write=False)
+        if np.array_equal(idx[rows], rows):
+            return idx, self
+        return idx, _Directions(self[i] for i in idx.tolist())
+
+
+def _as_directions(values):
+    """Discrete directions as a `_Directions`, keeping one as it is."""
+    if type(values) is _Directions:
+        return values
+    return _Directions(_as_direction(d) for d in values)
+
+
 def _float_pair(values, what):
     vals = [float(v) for v in values]
     if len(vals) != 2:
@@ -100,8 +145,8 @@ class CoordinateSet:
     A dimension flagged continuous stores exactly two limit values instead
     of an explicit list; for the direction dimension those are elevation
     limits (azimuth is unrestricted). An empty distance input defaults to
-    a single distance of 1 m. A tuple of `Direction`s is kept as it is, so
-    a set built from another set's directions holds that very tuple.
+    a single distance of 1 m. Discrete directions are kept in a tuple that
+    holds their caches, shared by every set built from that tuple.
     """
 
     directions: tuple = ()
@@ -118,9 +163,7 @@ class CoordinateSet:
             if not (-90.0 <= dirs[0] and dirs[1] <= 90.0):
                 raise ValueError(f"elevation limits {dirs} outside [-90, +90]")
         else:
-            dirs = self.directions
-            if type(dirs) is not tuple or not all(type(d) is Direction for d in dirs):
-                dirs = tuple(_as_direction(d) for d in dirs)
+            dirs = _as_directions(self.directions)
             seen = set()
             for d in dirs:
                 key = (d.azimuth, d.elevation)
@@ -159,11 +202,13 @@ class CoordinateSet:
     def _unchecked(cls, directions, frequencies, distances, continuity=DISCRETE):
         """Build without validation. Coercion output may hold duplicates."""
         obj = object.__new__(cls)
+        continuity = Continuity(*continuity)
+        dirs = tuple(directions) if continuity.direction else _as_directions(directions)
         object.__setattr__(obj, "_validated", False)
-        object.__setattr__(obj, "directions", tuple(directions))
+        object.__setattr__(obj, "directions", dirs)
         object.__setattr__(obj, "frequencies", tuple(frequencies))
         object.__setattr__(obj, "distances", tuple(distances))
-        object.__setattr__(obj, "continuity", Continuity(*continuity))
+        object.__setattr__(obj, "continuity", continuity)
         return obj
 
     @property
@@ -187,59 +232,13 @@ class CoordinateSet:
     def azimuth_array(self):
         if self.continuity.direction:
             raise ValueError("continuous direction set has no azimuth list")
-        return self._azimuths.copy()
+        return self.directions.azimuths.copy()
 
     @property
     def elevation_array(self):
         if self.continuity.direction:
             raise ValueError("continuous direction set has no elevation list")
-        return self._elevations.copy()
-
-    # Cached on first use; never built by __post_init__, so sets that are
-    # only requested pay nothing for them.
-
-    @cached_property
-    def _azimuths(self):
-        return np.array([d.azimuth for d in self.directions], dtype=np.float64)
-
-    @cached_property
-    def _elevations(self):
-        return np.array([d.elevation for d in self.directions], dtype=np.float64)
-
-    @cached_property
-    def _direction_index(self):
-        """The search index of the stored directions, built on first use."""
-        return kernels.direction_index(self._azimuths, self._elevations)
-
-    @cached_property
-    def _self_snap(self):
-        """(indices, directions) of a read at this set's own directions.
-
-        Each uncrowded stored direction is its own nearest (see
-        kernels.crowded_directions); only the crowded ones are searched,
-        which sends every copy of a pole to its first row. The index is
-        built even when nothing is searched, so an empty list is
-        rejected and a fitted model shares it.
-        """
-        index = self._direction_index
-        idx = np.arange(len(self.directions), dtype=np.int64)
-        rows = np.flatnonzero(
-            kernels.crowded_directions(self._azimuths, self._elevations)
-        )
-        idx[rows] = kernels.nearest_direction(
-            index, self._azimuths[rows], self._elevations[rows]
-        )
-        idx.setflags(write=False)
-        return idx, tuple(self.directions[i] for i in idx.tolist())
-
-    def _with_direction_caches(self, source):
-        """This set, holding `source`'s direction caches when both hold the
-        same directions tuple; those caches depend on the directions only."""
-        if self.directions is source.directions:
-            for name in _DIRECTION_CACHES:
-                if name in source.__dict__:
-                    self.__dict__[name] = source.__dict__[name]
-        return self
+        return self.directions.elevations.copy()
 
     @property
     def frequency_array(self):
@@ -248,14 +247,6 @@ class CoordinateSet:
     @property
     def distance_array(self):
         return np.array(self.distances, dtype=np.float64)
-
-
-_DIRECTION_CACHES = (
-    "_azimuths",
-    "_elevations",
-    "_direction_index",
-    "_self_snap",
-)
 
 
 class CoercionResult(NamedTuple):
@@ -271,19 +262,15 @@ def _snap_directions(base, requested):
     """
     if base.continuity.direction:
         lo, hi = base.elevation_limits
-        return None, tuple(
+        return None, _Directions(
             Direction(d.azimuth, min(max(d.elevation, lo), hi))
             for d in requested.directions
         )
-    if requested.directions is base.directions:
-        return base._self_snap
-    return _lookup_directions(base, requested._azimuths, requested._elevations)
-
-
-def _lookup_directions(base, req_az, req_el):
-    """Indices and stored directions nearest to the requested ones."""
-    idx = kernels.nearest_direction(base._direction_index, req_az, req_el)
-    return idx, tuple(base.directions[i] for i in idx.tolist())
+    stored, wanted = base.directions, requested.directions
+    if wanted is stored:
+        return stored.self_snap
+    idx = kernels.nearest_direction(stored.search_index, wanted.azimuths, wanted.elevations)
+    return idx, _Directions(stored[i] for i in idx.tolist())
 
 
 def _snap_values(base_vals, base_continuous, req_vals):
@@ -301,50 +288,47 @@ def _snap_values(base_vals, base_continuous, req_vals):
     return idx, tuple(float(base_vals[i]) for i in idx)
 
 
-def _coerce_directions(base, requested):
-    if requested.continuity.direction:
-        # Elevation limits snap to stored elevations or clamp into stored limits.
-        continuous = base.continuity.direction
-        stored = base.directions if continuous else base._elevations
-        return _coerce_values(stored, continuous, requested.directions, True)
-    if len(requested.directions) == 0:
-        return (), False
-    _, out = _snap_directions(base, requested)
-    return out, any(a != b for a, b in zip(out, requested.directions))
-
-
 def _coerce_values(base_vals, base_continuous, req_vals, req_continuous):
     req = tuple(float(v) for v in req_vals)
     if len(req) == 0:
-        return (), False
+        return ()
     _, out = _snap_values(base_vals, base_continuous, req)
     if req_continuous and not base_continuous:
         out = (min(out), max(out))
-    return out, out != req
+    return out
 
 
 def coerce(base, requested):
     """Snap `requested` onto `base`: nearest values for discrete dimensions
     of `base`, clamping into the limits for continuous ones.
 
-    Total and idempotent; the result keeps `requested`'s continuity flags.
-    The `changed` flag reports whether any value moved.
+    Idempotent; the result keeps `requested`'s continuity flags, and the
+    `changed` flag reports whether any value moved. An empty requested
+    dimension stays empty; a non-empty one onto an empty discrete stored
+    dimension raises ValueError, as there is nothing to snap to.
     """
-    dirs, d_changed = _coerce_directions(base, requested)
-    freqs, f_changed = _coerce_values(
+    if requested.continuity.direction:
+        # Elevation limits snap to stored elevations or clamp into stored limits.
+        continuous = base.continuity.direction
+        stored = base.directions if continuous else base.directions.elevations
+        dirs = _coerce_values(stored, continuous, requested.directions, True)
+    else:
+        dirs = _snap_directions(base, requested)[1] if requested.directions else ()
+    freqs = _coerce_values(
         base.frequencies,
         base.continuity.frequency,
         requested.frequencies,
         requested.continuity.frequency,
     )
-    dists, r_changed = _coerce_values(
+    dists = _coerce_values(
         base.distances,
         base.continuity.distance,
         requested.distances,
         requested.continuity.distance,
     )
+    given = (requested.directions, requested.frequencies, requested.distances)
     coords = CoordinateSet._unchecked(dirs, freqs, dists, requested.continuity)
-    return CoercionResult(coords, d_changed or f_changed or r_changed)
+    return CoercionResult(coords, (dirs, freqs, dists) != given)
 
 
 def discrete_read_indices(stored, requested):

@@ -12,11 +12,13 @@ from dirkit import (
     DataType,
     DirectivityDiff,
     RawIRs,
+    SynthSpec,
     UnsupportedDatatypeError,
     db_to_linear,
     eval_basis,
     fit_basis_model,
     read_dirm,
+    synth_test_set,
     write_dirm,
 )
 from dirkit import kernels
@@ -511,7 +513,7 @@ def test_fits_share_the_direction_index_of_their_source(monkeypatch):
         model = fit_basis_model("", raw, "fourier", order)
         volume = model.get_data_matrix(off_grid, DataType.LOG_MAGNITUDE)
         assert volume.coords.directions == expected.directions
-        assert model.coords._direction_index is raw.coords._direction_index
+        assert model.coords.directions.search_index is raw.coords.directions.search_index
     # One index over the 48 stored directions, built on the first off-grid read.
     assert builds == [48]
     # Fit first, read the model off-grid, then the source: the fit's read at
@@ -525,6 +527,26 @@ def test_fits_share_the_direction_index_of_their_source(monkeypatch):
         expected = raw.get_data_matrix(off_grid, DataType.LOG_MAGNITUDE).coords
         assert volume.coords.directions == expected.directions
         assert builds == [48]
+
+
+def test_diffs_at_the_default_grid_share_the_reference_index(monkeypatch):
+    builds = _count_calls(monkeypatch, "direction_index")
+    raw = synth_test_set(
+        SynthSpec(
+            mode="lowpass",
+            azimuth_step=30.0,
+            elevation_step=30.0,
+            elevation_limits=(-60.0, 60.0),
+        )
+    )
+    assert len(raw.coords.directions) == 60
+    for order in (2, 4, 8):
+        model = fit_basis_model("", raw, "fourier", order)
+        diff = DirectivityDiff("", raw, model)
+        diff.balloon_grid(1000.0)
+        # With no pole copy to move, a read at the stored tuple lands on it.
+        assert diff.coords.directions is raw.coords.directions
+    assert builds == [60]
 
 
 def test_fitted_model_equals_the_publicly_built_one(tmp_path):

@@ -1,6 +1,6 @@
 """Coordinate model: validation, coercion, conversion, grids."""
 
-import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from dirkit import (
     spherical_to_interaural,
 )
 from dirkit import kernels
-from dirkit.coords import _DIRECTION_CACHES, discrete_read_indices
+from dirkit.coords import discrete_read_indices
 from dirkit.formats import read_dird, write_dird
 from dirkit.rawirs import RawIRs
 
@@ -56,6 +56,16 @@ def test_non_finite_direction_rejected(bad):
         Direction(bad, 0.0)
     with pytest.raises(ValueError):
         Direction(0.0, bad)
+
+
+def test_angle_to_is_the_great_circle_angle():
+    a, b = Direction(10.0, 20.0), Direction(200.0, -35.0)
+    assert a.angle_to(b) == b.angle_to(a) == great_circle_angle(10.0, 20.0, 200.0, -35.0)
+    # Copies of a pole at different azimuths are one direction.
+    assert Direction(0.0, 90.0).angle_to(Direction(123.0, 90.0)) < 1e-12
+    assert Direction(40.0, 10.0).angle_to(Direction(220.0, -10.0)) == pytest.approx(
+        180.0, abs=1e-12
+    )
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +226,29 @@ def test_coercion_keeps_requested_flags_and_may_duplicate():
     assert result.coords.frequencies == (1000.0, 1000.0)
 
 
+def test_coercion_onto_an_empty_stored_dimension_raises():
+    no_bins = CoordinateSet(directions=[(0, 0)], frequencies=())
+    for requested in (
+        _freq_request((100.0,)),
+        CoordinateSet(
+            directions=[(0, 0)],
+            frequencies=(0.0, 100.0),
+            continuity=Continuity(frequency=True),
+        ),
+    ):
+        with pytest.raises(ValueError, match="cannot search an empty value list"):
+            coerce(no_bins, requested)
+    no_directions = CoordinateSet(directions=(), frequencies=(100.0,))
+    with pytest.raises(ValueError, match="cannot search an empty direction list"):
+        coerce(no_directions, _freq_request((100.0,)))
+    with pytest.raises(ValueError, match="cannot search an empty value list"):
+        coerce(no_directions, _elevation_limits_request(-15.0, 25.0))
+    # An empty requested dimension stays empty, with nothing to snap.
+    result = coerce(no_directions, CoordinateSet(directions=(), frequencies=()))
+    assert result.coords.directions == () and result.coords.frequencies == ()
+    assert not result.changed
+
+
 def test_read_indices_clamp_continuous_dimensions_like_coerce():
     stored = CoordinateSet(
         directions=(-40.0, 60.0),
@@ -320,7 +353,8 @@ def test_crowded_directions_keep_the_search_answer():
 
 def test_direction_arrays_are_fresh_copies():
     cs = CoordinateSet(directions=[(10.0, 20.0), (30.0, -40.0)], frequencies=(100.0,))
-    assert not any(name in vars(cs) for name in _DIRECTION_CACHES)
+    # The caches on the directions are built on first use.
+    assert not vars(cs.directions)
     cs.azimuth_array[:] = 0.0
     cs.elevation_array[:] = 0.0
     np.testing.assert_array_equal(cs.azimuth_array, [10.0, 30.0])
@@ -329,18 +363,11 @@ def test_direction_arrays_are_fresh_copies():
     assert list(d_idx) == [0, 1]
 
 
-def test_direction_caches_name_cached_properties():
-    # A stale name would make _with_direction_caches share nothing.
-    for name in _DIRECTION_CACHES:
-        assert isinstance(vars(CoordinateSet).get(name), functools.cached_property)
-
-
 def test_reads_at_an_empty_direction_list_raise():
     empty = CoordinateSet(directions=(), frequencies=(100.0,))
     requests = (
         CoordinateSet(directions=empty.directions, frequencies=(100.0,)),
-        # Equal to the stored tuple; CPython keeps one empty tuple, so
-        # this one holds the stored tuple too.
+        # Equal to the stored tuple but a separate one, so it is searched.
         CoordinateSet(directions=[], frequencies=(100.0,)),
         CoordinateSet(directions=[(3.0, 4.0)], frequencies=(100.0,)),
     )
@@ -361,9 +388,37 @@ def test_a_tuple_of_directions_is_kept_as_it_is():
         assert built.directions == stored.directions
         assert built.directions is not given
         assert all(type(d) is Direction for d in built.directions)
-    # A kept tuple still gets the duplicate check.
+    # Every input gets the duplicate check, a kept tuple too: coercion
+    # output may repeat a stored direction.
     with pytest.raises(ValueError, match="duplicate direction"):
         CoordinateSet(directions=(Direction(10.0, 0.0), Direction(370.0, 0.0)))
+    near_zenith = CoordinateSet(directions=[(0.0, 90.0), (5.0, 89.0)], frequencies=(100.0,))
+    repeated = coerce(stored, near_zenith).coords.directions
+    assert repeated == (stored.directions[-36],) * 2
+    with pytest.raises(ValueError, match="duplicate direction"):
+        CoordinateSet(directions=repeated)
+
+
+def test_stored_directions_act_as_a_plain_tuple():
+    plain = (Direction(10.0, 20.0), Direction(30.0, -40.0), Direction(0.0, 90.0))
+    cs = CoordinateSet(directions=plain, frequencies=(100.0,), distances=(1.0, 2.0))
+    assert cs.directions == plain and plain == cs.directions
+    assert cs.directions.index(plain[1]) == 1
+    assert cs.directions.count(plain[2]) == 1 and cs.directions.count(Direction(1, 1)) == 0
+    assert hash(cs.directions) == hash(plain)
+    from_pairs = CoordinateSet(
+        directions=[(d.azimuth, d.elevation) for d in plain],
+        frequencies=(100.0,),
+        distances=(1.0, 2.0),
+    )
+    assert hash(cs) == hash(from_pairs) and cs == from_pairs
+    # A pickle round trip gives an equal set, before and after its first read.
+    for _ in range(2):
+        again = pickle.loads(pickle.dumps(cs))
+        assert again == cs and hash(again) == hash(cs)
+        d_idx, _, _, actual = discrete_read_indices(again, again)
+        assert list(d_idx) == [0, 1, 2] and actual == again
+        discrete_read_indices(cs, cs)
 
 
 def test_a_read_at_an_equal_tuple_lands_where_one_at_the_stored_tuple_does(monkeypatch):
@@ -380,7 +435,7 @@ def test_a_read_at_an_equal_tuple_lands_where_one_at_the_stored_tuple_does(monke
     # Only the stored tuple takes the cached self-read and its crowded mask;
     # the equal tuple is searched in full.
     assert calls == [1]
-    assert d_own is stored._self_snap[0]
+    assert d_own is stored.directions.self_snap[0]
     assert d_equal is not d_own
     assert np.array_equal(d_own, d_equal)
     assert actual_own == actual_equal

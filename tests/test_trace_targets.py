@@ -74,7 +74,7 @@ def test_direction_queries_count_the_requests_off_the_stored_tuple():
         directions=stored, frequencies=(1000.0,), distances=raw.coords.distances
     )
     # The zenith is stored once per azimuth.
-    assert kernels.crowded_directions(raw.coords._azimuths, raw.coords._elevations).sum() == 12
+    assert kernels.crowded_directions(stored.azimuths, stored.elevations).sum() == 12
     tracer = tracing.Tracer()
     tracer.install()
     try:
