@@ -90,8 +90,13 @@ class _Directions(tuple):
         kernels.crowded_directions); only the crowded ones are searched,
         which sends every copy of a pole to its first row. When no row
         moves, the directions are this tuple itself, so the read's actual
-        coordinates share these caches. The index is built even when
-        nothing is searched, so an empty list is rejected.
+        coordinates share these caches. Otherwise they are a new tuple
+        holding `take`s of these arrays; when every row lands at or
+        before itself on a row that lands on itself, as pole copies do,
+        a read at that tuple lands on it again by the same indices, so
+        its self-read is preset and it builds no mask or index. The
+        index is built even when nothing is searched, so an empty list
+        is rejected.
         """
         az, el = self.azimuths, self.elevations
         idx = np.arange(len(self), dtype=np.int64)
@@ -100,7 +105,11 @@ class _Directions(tuple):
         idx.setflags(write=False)
         if np.array_equal(idx[rows], rows):
             return idx, self
-        return idx, _Directions(self[i] for i in idx.tolist())
+        moved = _Directions(self[i] for i in idx.tolist())
+        vars(moved).update(azimuths=az.take(idx), elevations=el.take(idx))
+        if (idx[rows] <= rows).all() and np.array_equal(idx[idx[rows]], idx[rows]):
+            vars(moved)["self_snap"] = (idx, moved)
+        return idx, moved
 
 
 def _as_directions(values):

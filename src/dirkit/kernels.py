@@ -2,13 +2,15 @@
 
 Ties in the nearest-neighbor searches go to the lowest index, as
 argmin/argmax over every stored entry would give them. The direction
-search is banded: an index sorted by z, built once per stored list,
-limits each request to the stored directions whose z lies close enough
-to hold the nearest one, and evaluates those with the full scan's
+search is windowed: an index of z slabs, each sorted by azimuth and
+built once per stored list, limits each request to the slabs whose z
+lies close enough to hold the nearest one and, in each, to the azimuth
+window that can reach it. It evaluates those with the full scan's
 expression, so its indices are bit-identical to the full scan's.
 """
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,24 +32,27 @@ _CHUNK_ELEMENTS = 1 << 14
 # in the rounding of the search's dot products; see crowded_directions.
 _CROWDED_CHORD = 1e-6
 
-# Stored directions around a request, in (z, azimuth) order, whose best
-# dot product seeds the band.
+# Stored directions around a request, in slab and azimuth order, whose
+# best dot product seeds the search.
 _SEED_WIDTH = 16
 
 # Bounds the rounding of a dot product and of a unit vector's length.
 _SLACK = 1e-12
 
-# Azimuth span of one z ring in the seed keys; any azimuth mod 360 fits.
-_RING_SPAN = 512.0
+# Key span of one slab; any azimuth in [-pi, pi] fits with room to spare.
+_SLAB_SPAN = 8.0
 
 
 class DirectionIndex(NamedTuple):
-    """Stored unit vectors ordered by (z, azimuth), for nearest_direction.
+    """Stored unit vectors cut into z slabs, for nearest_direction.
 
-    `order` maps a sorted position to its stored index. `keys` is the rank
-    of the position's z among the distinct z values times _RING_SPAN plus
-    its azimuth mod 360; it is ascending, so a request's place in a ring
-    is one searchsorted away.
+    A slab is a run of about sqrt(n) z-sorted stored directions that
+    never splits a ring of equal z; its positions run from `starts[k]`
+    to `starts[k + 1]`, sorted by azimuth atan2(y, x). `order` maps a
+    position to its stored index, and `keys` is the slab number times
+    _SLAB_SPAN plus the azimuth, ascending over all positions. `z_lo`,
+    `z_hi` and `rho_max` are each slab's smallest and largest z and
+    largest horizontal length sqrt(x^2 + y^2).
     """
 
     x: np.ndarray
@@ -55,19 +60,42 @@ class DirectionIndex(NamedTuple):
     z: np.ndarray
     order: np.ndarray
     keys: np.ndarray
+    starts: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    rho_max: np.ndarray
 
 
 def direction_index(azimuth_deg, elevation_deg):
     """Build the search index of a stored direction list."""
     x, y, z = _unit_vectors(azimuth_deg, elevation_deg)
-    if x.shape[0] == 0:
+    n = x.shape[0]
+    if n == 0:
         raise ValueError("cannot search an empty direction list")
-    az = np.mod(np.asarray(azimuth_deg, dtype=np.float64), 360.0)
-    order = np.lexsort((az, z))
-    zs = z[order]
-    rank = np.concatenate(([0], np.cumsum(zs[1:] != zs[:-1])))
+    by_z = np.argsort(z, kind="stable")
+    zs = z[by_z]
+    # Cut at the first ring start at or after each multiple of sqrt(n).
+    rings = np.append(np.flatnonzero(zs[1:] != zs[:-1]) + 1, n)
+    size = math.isqrt(n - 1) + 1
+    cut = np.zeros(n + 1, dtype=bool)
+    cut[[0, n]] = True
+    cut[rings[np.searchsorted(rings, np.arange(size, n, size))]] = True
+    starts = np.flatnonzero(cut)
+    slab = np.repeat(np.arange(starts.shape[0] - 1), np.diff(starts))
+    phi = np.arctan2(y, x)[by_z]
+    within = np.lexsort((phi, slab))
+    order = by_z[within]
+    rho = np.hypot(x, y)
     return DirectionIndex(
-        x[order], y[order], zs, order, rank * _RING_SPAN + az[order]
+        x[order],
+        y[order],
+        z[order],
+        order,
+        slab * _SLAB_SPAN + phi[within],
+        starts,
+        zs[starts[:-1]],
+        zs[starts[1:] - 1],
+        np.maximum.reduceat(rho[order], starts[:-1]),
     )
 
 
@@ -77,61 +105,129 @@ def nearest_direction(index, req_az, req_el):
     Nearest by angle == largest dot product of the unit vectors, which
     avoids an arccos per pair. The best dot product `seed` over the
     _SEED_WIDTH stored directions around a request bounds the chord to
-    the nearest one, and so its z distance: only stored directions
-    within `reach` of the request's z can hold or tie the maximum. Both
-    passes evaluate the same dot products as a full scan, so the index
-    is the one a full scan gives, ties to the lowest stored index.
+    the nearest one, and so the z slabs that can hold it. In each such
+    slab only an azimuth window around the request's azimuth can reach
+    the seed (see _windows), so only that window is compared: rings
+    first, then one azimuth range per ring, as in HEALPix's query_disc
+    (Gorski et al. 2005). Both passes evaluate the same dot products as
+    a full scan, so the index is the one a full scan gives, ties to the
+    lowest stored index.
     """
     req_az = np.asarray(req_az, dtype=np.float64)
     if not (np.isfinite(req_az).all() and np.isfinite(req_el).all()):
         raise ValueError("cannot search for a non-finite direction")
     rx, ry, rz = _unit_vectors(req_az, req_el)
-    n = index.order.shape[0]
+    phi, rho = np.arctan2(ry, rx), np.hypot(rx, ry)
+    n, q = index.order.shape[0], rx.shape[0]
     width = min(_SEED_WIDTH, n)
-    # The seed window sits in the lowest ring at or above the request's
-    # z, at the request's azimuth.
-    ring = index.keys[np.minimum(np.searchsorted(index.z, rz), n - 1)] // _RING_SPAN
-    at = np.searchsorted(index.keys, ring * _RING_SPAN + np.mod(req_az, 360.0))
+    # The seed window sits at the request's azimuth in the highest slab
+    # whose lowest z is at or below the request's, or in the first slab.
+    slab = np.maximum(index.z_lo.searchsorted(rz, side="right") - 1, 0)
+    at = index.keys.searchsorted(slab * _SLAB_SPAN + phi)
     first = np.clip(at - width // 2, 0, n - width)
-    seed, _ = _best_in_runs(index, rx, ry, rz, first, np.full(rx.shape[0], width))
+    seed = np.empty(q, dtype=np.float64)
+    step = max(1, _CHUNK_ELEMENTS // width)
+    for a in range(0, q, step):
+        pos = first[a : a + step, None] + np.arange(width)
+        dots = rx[a : a + step, None] * index.x.take(pos)
+        dots += ry[a : a + step, None] * index.y.take(pos)
+        dots += rz[a : a + step, None] * index.z.take(pos)
+        seed[a : a + step] = dots.max(axis=1)
     # A stored b whose rounded dot product reaches `seed` has
     # |r - b|^2 = |r|^2 + |b|^2 - 2 r.b <= 2(1 + s)^2 - 2(seed - s), and
     # |rz - bz| <= |r - b|; the outer s covers the rounding of `reach`.
     s = _SLACK
     reach = np.sqrt(2.0 * (1.0 + s) ** 2 - 2.0 * (seed - s)) + s
-    lo = np.searchsorted(index.z, rz - reach, side="left")
-    hi = np.searchsorted(index.z, rz + reach, side="right")
-    return _best_in_runs(index, rx, ry, rz, lo, hi - lo)[1]
+    lo = index.z_hi.searchsorted(rz - reach, side="left")
+    slabs = index.z_lo.searchsorted(rz + reach, side="right") - lo
+    arg = np.empty(q, dtype=np.int64)
+    for c in _chunks(slabs):
+        starts, lengths = _windows(index, phi[c], rho[c], rz[c], seed[c], lo[c], slabs[c])
+        arg[c] = _best_in_runs(index, rx[c], ry[c], rz[c], starts, lengths, slabs[c])
+    return arg
 
 
-def _best_in_runs(index, rx, ry, rz, first, counts):
-    """Per request, the largest dot product over the `counts` sorted
-    positions from `first`, and the lowest stored index that attains it.
-
-    All runs are one ragged batch, cut into chunks of about
-    _CHUNK_ELEMENTS pairs; a run longer than that is a chunk of its own.
-    """
-    best = np.empty(rx.shape[0], dtype=np.float64)
-    arg = np.empty(rx.shape[0], dtype=np.int64)
-    ends = np.cumsum(counts)
+def _chunks(counts):
+    """Slices of consecutive requests whose counts sum to at most
+    _CHUNK_ELEMENTS; a request with more is a chunk of its own."""
+    ends = counts.cumsum()
     a = 0
-    while a < rx.shape[0]:
+    while a < ends.shape[0]:
         done = ends[a] - counts[a]
-        b = max(a + 1, int(np.searchsorted(ends, done + _CHUNK_ELEMENTS, side="right")))
-        cnt = counts[a:b]
-        heads = ends[a:b] - cnt - done
-        pos = np.arange(ends[b - 1] - done) + np.repeat(first[a:b] - heads, cnt)
-        dots = np.repeat(rx[a:b], cnt) * index.x.take(pos)
-        dots += np.repeat(ry[a:b], cnt) * index.y.take(pos)
-        dots += np.repeat(rz[a:b], cnt) * index.z.take(pos)
-        best[a:b] = np.maximum.reduceat(dots, heads)
-        # Every run attains its maximum at least once.
-        hits = np.flatnonzero(dots == np.repeat(best[a:b], cnt))
-        arg[a:b] = np.minimum.reduceat(
-            index.order.take(pos.take(hits)), np.searchsorted(hits, heads)
-        )
+        b = max(a + 1, int(ends.searchsorted(done + _CHUNK_ELEMENTS, side="right")))
+        yield slice(a, b)
         a = b
-    return best, arg
+
+
+def _windows(index, phi, rho, rz, seed, first, slabs):
+    """The sorted positions that can reach each request's seed in the
+    `slabs` slabs from `first`: two runs (starts, lengths) per request
+    and slab, in request order, as arrays of shape (pairs, 2).
+
+    A stored b whose rounded dot product reaches `seed` has
+    rho_r rho_b cos(dphi) >= seed - s - rz bz >= num. When num <= 0 the
+    whole slab is taken. Otherwise cos(dphi) >= num / (rho_r rho_max),
+    and a slab where that exceeds 1 holds no such b. The second s in
+    `num` and the one on the half-width cover the rounding of the
+    bound, of the azimuths and of the wrap at +-pi.
+    """
+    s = _SLACK
+    ends = slabs.cumsum()
+    req = np.arange(phi.shape[0]).repeat(slabs)
+    k = np.arange(ends[-1]) + (first - ends + slabs).repeat(slabs)
+    rz, phi = rz[req], phi[req]
+    num = seed[req] - 2.0 * s - np.maximum(rz * index.z_lo[k], rz * index.z_hi[k])
+    # No double is an odd multiple of pi/2, so no rho is 0.
+    cos_min = num / (rho[req] * index.rho_max[k])
+    half = np.arccos(np.maximum(np.minimum(cos_min, 1.0), -1.0)) + s
+    half[cos_min > 1.0] = -1.0
+    whole = num <= 0.0
+    phi[whole], half[whole] = 0.0, np.pi
+    left, right = phi - half, phi + half
+    # A window across +-pi is the slab's two ends.
+    under, over = left < -np.pi, right > np.pi
+    left += under * (2.0 * np.pi)
+    right -= over * (2.0 * np.pi)
+    wrapped = under | over
+    base = k * _SLAB_SPAN
+    lo = index.keys.searchsorted(base + left, side="left")
+    hi = index.keys.searchsorted(base + right, side="right")
+    head, tail = index.starts[k], index.starts[k + 1]
+    starts = np.empty((k.shape[0], 2), dtype=np.int64)
+    lengths = np.empty((k.shape[0], 2), dtype=np.int64)
+    starts[:, 0], starts[:, 1] = lo, head
+    lengths[:, 0] = np.maximum(hi + wrapped * (tail - hi) - lo, 0)
+    lengths[:, 1] = wrapped * (hi - head)
+    return starts, lengths
+
+
+def _best_in_runs(index, rx, ry, rz, starts, lengths, slabs):
+    """Per request, the lowest stored index that attains the largest dot
+    product over its runs of sorted positions: the runs of `slabs[i]`
+    rows of (starts, lengths), after those of the requests before it.
+
+    The runs are one ragged batch, cut into chunks of about
+    _CHUNK_ELEMENTS pairs; a request with more is a chunk of its own.
+    """
+    arg = np.empty(rx.shape[0], dtype=np.int64)
+    rows = slabs.cumsum()
+    counts = np.add.reduceat(lengths.sum(axis=1), rows - slabs)
+    for c in _chunks(counts):
+        r = slice(rows[c.start] - slabs[c.start], rows[c.stop - 1])
+        cnt, length = counts[c], lengths[r].ravel()
+        heads = cnt.cumsum() - cnt
+        offsets = length.cumsum() - length
+        pos = np.arange(heads[-1] + cnt[-1]) + (starts[r].ravel() - offsets).repeat(length)
+        dots = rx[c].repeat(cnt) * index.x.take(pos)
+        dots += ry[c].repeat(cnt) * index.y.take(pos)
+        dots += rz[c].repeat(cnt) * index.z.take(pos)
+        best = np.maximum.reduceat(dots, heads)
+        # Every request attains its maximum at least once.
+        hits = (dots == best.repeat(cnt)).nonzero()[0]
+        arg[c] = np.minimum.reduceat(
+            index.order.take(pos.take(hits)), hits.searchsorted(heads)
+        )
+    return arg
 
 
 def crowded_directions(azimuth_deg, elevation_deg):

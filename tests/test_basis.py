@@ -549,6 +549,32 @@ def test_diffs_at_the_default_grid_share_the_reference_index(monkeypatch):
     assert builds == [60]
 
 
+def test_diffs_on_a_pole_grid_build_no_second_index(monkeypatch):
+    # The 5 degree grid stores the zenith 72 times, so the read at the
+    # stored tuple moves rows and the diff holds a second tuple; its
+    # balloon reads at that tuple through the preset self-read.
+    masks = _count_calls(monkeypatch, "crowded_directions")
+    builds = _count_calls(monkeypatch, "direction_index")
+    raw = synth_test_set(
+        SynthSpec(
+            mode="lowpass",
+            azimuth_step=5.0,
+            elevation_step=5.0,
+            elevation_limits=(-40.0, 90.0),
+            length=16,
+        )
+    )
+    assert len(raw.coords.directions) == 1944
+    for order in (2, 4, 8):
+        model = fit_basis_model("", raw, "fourier", order)
+        diff = DirectivityDiff("", raw, model)
+        assert diff.coords.directions is not raw.coords.directions
+        balloon = diff.balloon_grid(1000.0)
+        assert len(balloon.values) == 1944
+    assert masks == [1944]
+    assert builds == [1944]
+
+
 def test_fitted_model_equals_the_publicly_built_one(tmp_path):
     raw = _polar_grid_raw(SEED + 51)
     for family in ("fourier", "cosine"):

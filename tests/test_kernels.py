@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dirkit import kernels
+from dirkit.coords import CoordinateSet, discrete_read_indices
 from dirkit.kernels import (
     cosine_basis,
     direction_index,
@@ -90,21 +91,38 @@ def test_nearest_direction_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
+def _first_largest_dot(base_az, base_el, req_az, req_el):
+    """The full scan: first index of the largest dot product, per request."""
+    bx, by, bz = kernels._unit_vectors(base_az, base_el)
+    rx, ry, rz = kernels._unit_vectors(req_az, req_el)
+    return [int(np.argmax(x * bx + y * by + z * bz)) for x, y, z in zip(rx, ry, rz)]
+
+
+def _spy_compared(monkeypatch):
+    """Log, per searched request, its band's slab count and the number of
+    stored directions its windows compare."""
+    log = []
+    best_in_runs = kernels._best_in_runs
+
+    def spy(index, rx, ry, rz, starts, lengths, slabs):
+        rows = np.cumsum(slabs)
+        compared = np.add.reduceat(lengths.sum(axis=1), rows - slabs)
+        log.extend(zip(slabs.tolist(), compared.tolist()))
+        return best_in_runs(index, rx, ry, rz, starts, lengths, slabs)
+
+    monkeypatch.setattr(kernels, "_best_in_runs", spy)
+    return log
+
+
 def test_nearest_direction_memory_stays_bounded_when_bands_span_the_set(monkeypatch):
     # Stored directions 4 to 5 degrees from the zenith, requests at the
     # nadir: the nearest stored direction is so little nearer than the
-    # farthest that every band holds all 4000 stored directions.
+    # farthest that every z band holds all 4000 stored directions.
     rng = np.random.default_rng(SEED + 5)
     base_az, base_el = rng.uniform(0, 360, 4000), rng.uniform(85, 86, 4000)
     req_az, req_el = rng.uniform(0, 360, 4000), np.full(4000, -90.0)
     index = direction_index(base_az, base_el)
-    runs = []
-    best_in_runs = kernels._best_in_runs
-    monkeypatch.setattr(
-        kernels,
-        "_best_in_runs",
-        lambda *args: runs.append(args[-1].min()) or best_in_runs(*args),
-    )
+    log = _spy_compared(monkeypatch)
     tracemalloc.start()
     try:
         got = nearest_direction(index, req_az, req_el)
@@ -112,12 +130,58 @@ def test_nearest_direction_memory_stays_bounded_when_bands_span_the_set(monkeypa
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    # The seed pass, then the band pass over the whole set for every request.
-    assert runs[1] == 4000
-    bx, by, bz = kernels._unit_vectors(base_az, base_el)
-    rx, ry, rz = kernels._unit_vectors(req_az, req_el)
-    expected = [np.argmax(x * bx + y * by + z * bz) for x, y, z in zip(rx, ry, rz)]
-    assert got.tolist() == expected
+    # Every band spans all slabs, 4000 x 63 (request, slab) pairs in all;
+    # the windows keep the whole lowest slab, which holds the nearest
+    # direction, and no direction of any other.
+    assert len(log) == 4000
+    assert {slabs for slabs, _ in log} == {len(index.starts) - 1}
+    assert {compared for _, compared in log} == {index.starts[1]}
+    assert got.tolist() == _first_largest_dot(base_az, base_el, req_az, req_el)
+
+
+def _grid(step, floor):
+    el, az = np.meshgrid(np.arange(floor, 90.0 + step / 2, step), np.arange(0.0, 360.0, step))
+    return az.T.ravel(), el.T.ravel()
+
+
+def test_requests_far_below_a_grid_compare_one_window_per_ring(monkeypatch):
+    # The 2 degree grid above -40 degrees: a request at -60 degrees or
+    # below is 20 to 50 degrees from every stored direction, so its z band
+    # spans up to 20 rings of 180.
+    base_az, base_el = _grid(2.0, -40.0)
+    assert base_az.shape == (11880,)
+    rng = np.random.default_rng(SEED + 6)
+    req_az = np.concatenate([rng.uniform(0, 360, 200), [0.0, 123.4]])
+    req_el = np.concatenate([rng.uniform(-90, -60, 200), [-90.0, -90.0]])
+    log = _spy_compared(monkeypatch)
+    got = nearest_direction(direction_index(base_az, base_el), req_az, req_el)
+    assert max(compared for _, compared in log) <= 300
+    assert max(slabs for slabs, _ in log) > 10
+    assert got.tolist() == _first_largest_dot(base_az, base_el, req_az, req_el)
+
+
+def test_a_read_at_a_separate_band_of_stored_directions_compares_few(monkeypatch):
+    # The 1980 directions within 10 degrees of the horizontal plane, taken
+    # from the stored set into a tuple of their own, are searched in full.
+    base_az, base_el = _grid(2.0, -40.0)
+    stored = CoordinateSet(directions=list(zip(base_az, base_el)), frequencies=(100.0,))
+    rows = np.flatnonzero(np.abs(base_el) <= 10.0)
+    band = CoordinateSet(
+        directions=[stored.directions[i] for i in rows], frequencies=(100.0,)
+    )
+    assert len(band.directions) == 1980
+    log = _spy_compared(monkeypatch)
+    d_idx, _, _, _ = discrete_read_indices(stored, band)
+    assert d_idx.tolist() == rows.tolist()
+    assert len(log) == 1980
+    assert max(compared for _, compared in log) <= 50
+
+
+def test_nearest_direction_of_no_request_is_an_empty_index():
+    index = direction_index(np.array([0.0, 90.0]), np.array([0.0, 45.0]))
+    got = nearest_direction(index, np.array([]), np.array([]))
+    assert got.dtype == np.int64
+    assert got.shape == (0,)
 
 
 def test_nearest_direction_rejects_non_finite_requests():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirkit import kernels
-from dirkit.coords import CoordinateSet, Direction, discrete_read_indices
+from dirkit.coords import CoordinateSet, Direction, _Directions, discrete_read_indices
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -85,38 +85,70 @@ def test_nearest_direction_crosses_chunk_boundaries_at_full_size():
     assert got[:200].tolist() == list(range(200))
 
 
-# The banded search keeps only the stored directions whose z lies within
-# reach of the request's; these stored sets make that band anything from
-# one ring to the whole set.
+# The search keeps only the z slabs within reach of the request's z, and
+# in each slab only an azimuth window; these stored sets make that anything
+# from one direction to the whole set. Rings repeat azimuths, sit within
+# 1e-12 of 0 and 360, and may be jittered in elevation so that every
+# direction is a ring of its own; many small rings put several in a slab.
 ring_azimuths = st.lists(
-    st.sampled_from([0.0, 30.0, 90.0, 180.0, 270.0, 359.0]), min_size=1, max_size=12
+    st.sampled_from(
+        [0.0, 30.0, 90.0, 180.0, 270.0, 359.0, 1e-12, -1e-12, 360.0 - 1e-12]
+    ),
+    min_size=1,
+    max_size=12,
 )
+jitters = st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3])
 
 
 @st.composite
 def banded_cases(draw):
     """(stored, requests): stored directions in a cap above a drawn lowest
-    elevation, with rings of equal z that repeat azimuths and a pole
-    cluster; requests at stored z values, antipodal, and anywhere."""
+    elevation, with rings of equal or jittered z that repeat azimuths,
+    many small rings, pairs whose two directions a request reaches equally
+    and a pole cluster; requests at stored z values, antipodal, between
+    the pairs, at the poles and anywhere."""
     floor = draw(st.sampled_from([-90.0, -40.0, 60.0]))
     in_cap = st.floats(min_value=floor, max_value=90.0, allow_nan=False)
     stored = draw(st.lists(st.tuples(azimuths, in_cap), max_size=12))
     for el in draw(st.lists(in_cap, max_size=3)):
-        stored += [(az, el) for az in draw(ring_azimuths)]
+        jitter = draw(jitters)
+        ring = draw(ring_azimuths)
+        stored += [(az, min(el + jitter * i, 90.0)) for i, az in enumerate(ring)]
+    if draw(st.booleans()):
+        rings = draw(st.integers(min_value=20, max_value=60))
+        phase, jitter = draw(azimuths), draw(jitters)
+        for i in range(rings):
+            el = floor + (90.0 - floor) * (i + 0.5) / rings
+            count = 2 + i % 5
+            stored += [
+                (phase + 360.0 * j / count, min(el + jitter * j, 90.0))
+                for j in range(count)
+            ]
+    # A request halfway between a pair in azimuth reaches both equally,
+    # so the second one sits on the window edge that the first one sets,
+    # or 1e-12 inside or outside it.
+    between = []
+    pairs = st.tuples(azimuths, in_cap, st.floats(min_value=1e-3, max_value=90.0))
+    for az, el, gap in draw(st.lists(pairs, max_size=2)):
+        nudge = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        stored += [(az - gap, el), (az + gap + nudge, el)]
+        between += [(az, el), (az, draw(in_cap))]
     if draw(st.booleans()):
         pole = draw(st.sampled_from([90.0, -90.0] if floor == -90.0 else [90.0]))
         count = draw(st.integers(min_value=101, max_value=130))
         stored += [(360.0 * i / count, pole) for i in range(count)]
     stored = draw(st.permutations(stored + [draw(st.tuples(azimuths, in_cap))]))
     stored = stored[: draw(st.sampled_from([1, 2, len(stored)]))]
+    picked = stored[:: max(1, len(stored) // 40)]
     free = draw(st.lists(directions, max_size=10))
     requests = (
-        stored
-        + [(az + 180.0, -el) for az, el in stored]
+        picked
+        + [(az + 180.0, -el) for az, el in picked]
         + [(az, el) for (az, _), (_, el) in zip(free, stored)]
+        + between
         + free
-        + [(az, 90.0) for az, _ in free]
-        + [(az, -90.0) for az, _ in free]
+        + [(az, 90.0) for az, _ in free + picked[:3]]
+        + [(az, -90.0) for az, _ in free + picked[:3]]
     )
     return stored, requests
 
@@ -124,8 +156,8 @@ def banded_cases(draw):
 @PROPERTY
 @given(case=banded_cases())
 def test_banded_search_matches_oracle(case):
-    # One-direction seeds and one-pair chunks: the band comes from the
-    # worst seeds, and every run is cut apart from its neighbours.
+    # One-direction seeds and one-pair chunks: the slabs and windows come
+    # from the worst seeds, and every run is cut apart from its neighbours.
     stored, requests = case
     base_az, base_el = (np.array(v, dtype=np.float64) for v in zip(*stored))
     req_az, req_el = (np.array(v, dtype=np.float64) for v in zip(*requests))
@@ -172,6 +204,14 @@ def test_nearest_value_far_requests_tie_to_the_first_index():
 # reads at stored and free directions through the search
 # --------------------------------------------------------------------------
 
+def _sphere_grid(az_step, el_step):
+    return [
+        (az, el)
+        for el in np.arange(-90.0, 90.0 + el_step, el_step)
+        for az in np.arange(0.0, 360.0, az_step)
+    ]
+
+
 def _unique_directions(pairs):
     seen = {}
     for az, el in pairs:
@@ -194,12 +234,7 @@ def test_reads_at_a_grid_with_pole_duplicates_match_oracle(
 ):
     # A full-sphere grid stores each pole once per azimuth; extra stored
     # directions may sit arbitrarily close to grid points.
-    grid = [
-        (az, el)
-        for el in np.arange(-90.0, 90.0 + el_step, el_step)
-        for az in np.arange(0.0, 360.0, az_step)
-    ]
-    stored_dirs = _unique_directions(grid + extra)
+    stored_dirs = _unique_directions(_sphere_grid(az_step, el_step) + extra)
     shuffle.shuffle(stored_dirs)
     stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
     request_dirs = (
@@ -268,3 +303,42 @@ def test_reads_at_own_directions_match_brute_force(extra, shuffle):
         req_az, req_el = request.azimuth_array, request.elevation_array
         d_idx, _, _, _ = discrete_read_indices(stored, request)
         assert d_idx.tolist() == _direction_oracle(az, el, req_az, req_el)
+
+
+# Pairs 1e-10 degrees apart. In the search's rounding a request at the
+# first of (30, 10) ties with the second, one at the first of
+# (328.592, -23.092) reaches the second higher than itself, and requests
+# at either of (224.347, -5.22) reach the other one higher than themselves.
+CROWDED_PAIRS = [
+    [(az, el), (az + 1e-10, el)]
+    for az, el in ((30.0, 10.0), (328.592, -23.092), (224.347, -5.22))
+]
+
+
+@PROPERTY
+@given(
+    az_step=st.sampled_from([30.0, 45.0, 60.0, 90.0, 120.0]),
+    el_step=st.sampled_from([30.0, 45.0, 90.0]),
+    extra=st.lists(directions, max_size=15),
+    near=st.sampled_from([[], *CROWDED_PAIRS]),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_the_preset_self_read_of_moved_directions_matches_a_fresh_one(
+    az_step, el_step, extra, near, shuffle
+):
+    # A full-sphere grid stores each pole once per azimuth, so a read at
+    # the stored tuple moves the pole copies onto a second tuple.
+    stored_dirs = _unique_directions(_sphere_grid(az_step, el_step) + near + extra)
+    shuffle.shuffle(stored_dirs)
+    stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
+    idx, moved = stored.directions.self_snap
+    assert moved is not stored.directions
+    fresh = _Directions(tuple(moved))
+    assert moved.azimuths.tobytes() == fresh.azimuths.tobytes()
+    assert moved.elevations.tobytes() == fresh.elevations.tobytes()
+    if not (near or extra):
+        assert vars(moved)["self_snap"] == (idx, moved)
+    moved_idx, moved_dirs = moved.self_snap
+    fresh_idx, fresh_dirs = fresh.self_snap
+    assert moved_idx.tolist() == fresh_idx.tolist()
+    assert moved_dirs == fresh_dirs
