@@ -139,16 +139,15 @@ def banded_cases(draw):
         stored += [(360.0 * i / count, pole) for i in range(count)]
     stored = draw(st.permutations(stored + [draw(st.tuples(azimuths, in_cap))]))
     stored = stored[: draw(st.sampled_from([1, 2, len(stored)]))]
-    picked = stored[:: max(1, len(stored) // 40)]
     free = draw(st.lists(directions, max_size=10))
     requests = (
-        picked
-        + [(az + 180.0, -el) for az, el in picked]
+        stored
+        + [(az + 180.0, -el) for az, el in stored]
         + [(az, el) for (az, _), (_, el) in zip(free, stored)]
         + between
         + free
-        + [(az, 90.0) for az, _ in free + picked[:3]]
-        + [(az, -90.0) for az, _ in free + picked[:3]]
+        + [(az, 90.0) for az, _ in free + stored[:3]]
+        + [(az, -90.0) for az, _ in free + stored[:3]]
     )
     return stored, requests
 
