@@ -20,10 +20,10 @@ S.max() * max(N, K) * eps of the least-squares solvers, is below K is
 rejected.
 
 A fitted model keeps the source's validated directions and distances as
-they are: its coordinate set holds the source's directions tuple, and
-with it the search index and cached read at those directions that the
-fit's read at the source builds, so fitting many orders builds them
-once and a read at the source's directions does no search. The
+they are: its coordinate set holds the source's directions, an array of
+(azimuth, elevation) rows, and with it the search index and cached read
+at those directions that the fit's read at the source builds, so fitting
+many orders builds them once and a read there does no search. The
 coefficients are stored C-contiguous, and a read gathers the rows it
 needs with `core.gather` before one matrix product.
 
@@ -40,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .coords import DISCRETE, Continuity, CoordinateSet, discrete_read_indices
+from .coords import Continuity, CoordinateSet, discrete_read_indices
 from .core import DataType, DataVolume, Directivity, _db_to_linear_in_place, gather
 
 _MODEL_TYPES = frozenset(
@@ -106,9 +106,7 @@ class BasisSpectrumModel(Directivity):
             distances=distances,
             continuity=Continuity(False, True, False),
         )
-        if coefficients.shape[0] != len(coords.directions) or coefficients.shape[
-            2
-        ] != len(coords.distances):
+        if coefficients.shape[::2] != (len(coords.directions), len(coords.distances)):
             raise ValueError(
                 f"coefficients shape {coefficients.shape} does not match "
                 f"{len(coords.directions)} directions and {len(coords.distances)} distances"
@@ -177,7 +175,7 @@ class BasisSpectrumModel(Directivity):
         self._check_datatype(datatype)
         # Directions and distances snap; frequencies clamp into the limits.
         d_idx, _, r_idx, actual = discrete_read_indices(self.coords, requested)
-        x = self._positions(actual.frequencies)
+        x = self._positions(actual.frequency_array)
         design = eval_basis(self._family, self.order, x)
         coef = gather(self._coefficients, d_idx, np.arange(self.order), r_idx)
         values = np.matmul(design, coef)
@@ -224,18 +222,10 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
         raise ValueError(f"order {order} exceeds the {n} bins available for fitting")
 
     stored = source.coords
-    if stored._validated:
-        # Part of validated coordinates needs no second check, and keeps the
-        # stored directions tuple, so the read takes the cached self-snap.
-        requested = CoordinateSet._unchecked(
-            stored.directions, fit_bins.tolist(), stored.distances, DISCRETE
-        )
-    else:
-        requested = CoordinateSet(
-            directions=stored.directions,
-            frequencies=fit_bins.tolist(),
-            distances=stored.distances,
-        )
+    # Part of validated coordinates needs no second check; either way the
+    # request keeps the stored directions, so the read takes their self-snap.
+    build = CoordinateSet._unchecked if stored._validated else CoordinateSet
+    requested = build(stored.directions, fit_bins, stored.distances)
     volume = source.get_data_matrix(requested, DataType.LOG_MAGNITUDE)
     d_count, _, r_count = volume.values.shape
 

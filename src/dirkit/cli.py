@@ -231,9 +231,7 @@ def cmd_sweep(args):
 def cmd_extract_ir(args):
     obj = _load(args.input, args.receiver)
     requested = CoordinateSet(
-        directions=(Direction(args.azimuth, args.elevation),),
-        frequencies=(),
-        distances=(args.distance,),
+        directions=[(args.azimuth, args.elevation)], distances=(args.distance,)
     )
     vector, actual = obj.get_data_vector(requested, DataType.IMPULSE_RESPONSES)
     direction = actual.directions[0]
@@ -261,26 +259,22 @@ def cmd_balloon(args):
     actual_freq = grid.coords.frequencies[0]
     print(f"balloon read at {actual_freq:g} Hz")
     suffix = Path(args.output).suffix.lower()
+    azimuths, elevations = grid.coords.azimuth_array, grid.coords.elevation_array
     if suffix == ".csv":
-        rows = [
-            (d.azimuth, d.elevation, v)
-            for d, v in zip(grid.directions, grid.values)
-        ]
+        rows = zip(azimuths.tolist(), elevations.tolist(), grid.values)
         write_csv(
             args.output, ("azimuth_deg", "elevation_deg", _Y_NAMES[datatype]), rows
         )
     elif suffix == ".svg":
-        elevations = np.array([d.elevation for d in grid.directions])
         ring = np.abs(elevations - args.ring_elevation) <= 1e-6
         if not np.any(ring):
             raise ValueError(
                 f"no stored directions at elevation {args.ring_elevation:g}; "
                 f"use a .csv output for the full grid"
             )
-        azimuths = np.array([d.azimuth for d in grid.directions])[ring]
         polar_plot_svg(
             args.output,
-            azimuths,
+            azimuths[ring],
             grid.values[ring],
             title=args.title or f"{_Y_NAMES[datatype]} at {actual_freq:g} Hz",
             value_name=_Y_NAMES[datatype],

@@ -10,6 +10,7 @@ Conventions used across the whole package:
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -58,25 +59,47 @@ class Direction:
         )
 
 
-def _as_direction(value):
-    if isinstance(value, Direction):
-        return value
-    az, el = value
-    return Direction(float(az), float(el))
+class _Directions(Sequence):
+    """Discrete directions as a read-only (n, 2) float64 array of
+    (azimuth, elevation) rows, with its columns `azimuths` and
+    `elevations`. It acts as a tuple of `Direction`s, made on its first
+    iteration or indexing (`len` makes none). Every set holding this very
+    object shares its search index and self-read."""
 
+    __slots__ = ("pairs", "azimuths", "elevations", "__dict__")
 
-class _Directions(tuple):
-    """The directions of a discrete set: a tuple of `Direction`s holding
-    the arrays, search index and self-read built from them on first use,
-    which every set holding this very tuple shares."""
-
-    @cached_property
-    def azimuths(self):
-        return np.array([d.azimuth for d in self], dtype=np.float64)
+    def __init__(self, pairs):
+        pairs.setflags(write=False)
+        self.pairs = pairs
+        self.azimuths, self.elevations = pairs.T
 
     @cached_property
-    def elevations(self):
-        return np.array([d.elevation for d in self], dtype=np.float64)
+    def _items(self):
+        # The pairs are checked and wrapped already: skip Direction's checks.
+        items = tuple(object.__new__(Direction) for _ in range(len(self)))
+        for item, (az, el) in zip(items, self.pairs.tolist()):
+            vars(item).update(azimuth=az, elevation=el)
+        return items
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        if isinstance(other, _Directions):
+            return np.array_equal(self.pairs, other.pairs)
+        return self._items == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._items)
+
+    def __repr__(self):
+        return repr(self._items)
 
     @cached_property
     def search_index(self):
@@ -86,17 +109,12 @@ class _Directions(tuple):
     def self_snap(self):
         """(indices, directions) of a read at these directions.
 
-        Each uncrowded direction is its own nearest (see
-        kernels.crowded_directions); only the crowded ones are searched,
-        which sends every copy of a pole to its first row. When no row
-        moves, the directions are this tuple itself, so the read's actual
-        coordinates share these caches. Otherwise they are a new tuple
-        holding `take`s of these arrays; when every row lands at or
-        before itself on a row that lands on itself, as pole copies do,
-        a read at that tuple lands on it again by the same indices, so
-        its self-read is preset and it builds no mask or index. The
-        index is built even when nothing is searched, so an empty list
-        is rejected.
+        Only crowded directions (kernels.crowded_directions) are searched,
+        sending pole copies to their first row. With no row moved, the
+        directions are this holder itself; otherwise a `take` of it whose
+        self-read is preset when every row lands at or before itself on a
+        row that lands on itself. The index is always built, so an empty
+        list is rejected.
         """
         az, el = self.azimuths, self.elevations
         idx = np.arange(len(self), dtype=np.int64)
@@ -105,18 +123,33 @@ class _Directions(tuple):
         idx.setflags(write=False)
         if np.array_equal(idx[rows], rows):
             return idx, self
-        moved = _Directions(self[i] for i in idx.tolist())
-        vars(moved).update(azimuths=az.take(idx), elevations=el.take(idx))
+        moved = _Directions(self.pairs.take(idx, axis=0))
         if (idx[rows] <= rows).all() and np.array_equal(idx[idx[rows]], idx[rows]):
             vars(moved)["self_snap"] = (idx, moved)
         return idx, moved
 
 
 def _as_directions(values):
-    """Discrete directions as a `_Directions`, keeping one as it is."""
+    """Discrete directions as a `_Directions`, keeping one as it is. The
+    pairs are checked and wrapped by `Direction`'s rule over whole arrays."""
     if type(values) is _Directions:
         return values
-    return _Directions(_as_direction(d) for d in values)
+    try:
+        pairs = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):  # `Direction`s among them; bad input fails again
+        pairs = np.array(
+            [(d.azimuth, d.elevation) if isinstance(d, Direction) else d for d in values],
+            dtype=np.float64,
+        )
+    if pairs.shape[1:] != (2,) and pairs.shape != (0,):
+        raise ValueError(f"directions must be (azimuth, elevation) pairs, got {pairs.shape}")
+    pairs = pairs.reshape(-1, 2)
+    # A finite azimuth and an elevation in [-90, +90]; nan fails both.
+    valid = np.abs(pairs) <= (np.finfo(np.float64).max, 90.0)
+    if not valid.all():
+        Direction(*pairs[valid.all(axis=1).argmin()].tolist())  # raises Direction's error
+    pairs[:, 0] = _wrap_degrees(pairs[:, 0])
+    return _Directions(pairs)
 
 
 def _float_pair(values, what):
@@ -134,17 +167,33 @@ def _float_pair(values, what):
 
 
 def _ascending(values, what, minimum, strict_min):
-    vals = tuple(float(v) for v in values)
-    for v in vals:
+    """Discrete values as a float64 array; the first value that is not
+    finite, not above `minimum` or not above the one before raises."""
+    vals = np.array(values, dtype=np.float64)
+    if vals.ndim != 1:
+        raise TypeError(f"{what} values must be a flat sequence of numbers")
+    bad = ~np.isfinite(vals) | ((vals <= minimum) if strict_min else (vals < minimum))
+    if bad.any():
+        v = float(vals[bad.argmax()])
         if not math.isfinite(v):
             raise ValueError(f"{what} value {v} is not finite")
-        if v < minimum or (strict_min and v == minimum):
-            bound = f"> {minimum}" if strict_min else f">= {minimum}"
-            raise ValueError(f"{what} value {v} violates {bound}")
-    for a, b in zip(vals, vals[1:]):
-        if a >= b:
-            raise ValueError(f"{what} vector not strictly ascending at {a}, {b}")
+        bound = f"> {minimum}" if strict_min else f">= {minimum}"
+        raise ValueError(f"{what} value {v} violates {bound}")
+    down = vals[:-1] >= vals[1:]
+    if down.any():
+        a, b = vals[down.argmax() :][:2].tolist()
+        raise ValueError(f"{what} vector not strictly ascending at {a}, {b}")
     return vals
+
+
+def _set_values(cs, frequencies, distances):
+    """Set the frequencies and distances of `cs` as tuples of floats, and
+    keep both as read-only float64 arrays, `cs._values`, for reads."""
+    values = tuple(np.asarray(v, dtype=np.float64) for v in (frequencies, distances))
+    for name, vals in zip(("frequencies", "distances"), values):
+        vals.setflags(write=False)
+        object.__setattr__(cs, name, tuple(vals.tolist()))
+    vars(cs)["_values"] = values
 
 
 @dataclass(frozen=True)
@@ -154,8 +203,8 @@ class CoordinateSet:
     A dimension flagged continuous stores exactly two limit values instead
     of an explicit list; for the direction dimension those are elevation
     limits (azimuth is unrestricted). An empty distance input defaults to
-    a single distance of 1 m. Discrete directions are kept in a tuple that
-    holds their caches, shared by every set built from that tuple.
+    a single distance of 1 m. Each discrete dimension is kept as a float64
+    array too, the directions in a holder of caches shared by derived sets.
     """
 
     directions: tuple = ()
@@ -173,12 +222,15 @@ class CoordinateSet:
                 raise ValueError(f"elevation limits {dirs} outside [-90, +90]")
         else:
             dirs = _as_directions(self.directions)
-            seen = set()
-            for d in dirs:
-                key = (d.azimuth, d.elevation)
-                if key in seen:
-                    raise ValueError(f"duplicate direction {key}")
-                seen.add(key)
+            # Each pair as one complex key; a stable sort keeps equal keys
+            # in input order, so the first repeat is named.
+            keys = dirs.pairs.view(np.complex128).ravel()
+            order = np.argsort(keys, kind="stable")
+            ordered = keys[order]
+            repeats = order[1:][ordered[1:] == ordered[:-1]]
+            if repeats.size:
+                key = tuple(dirs.pairs[repeats.min()].tolist())
+                raise ValueError(f"duplicate direction {key}")
         object.__setattr__(self, "directions", dirs)
 
         if cont.frequency:
@@ -187,22 +239,19 @@ class CoordinateSet:
                 raise ValueError(f"frequency limit {freqs[0]} is negative")
         else:
             freqs = _ascending(self.frequencies, "frequency", 0.0, strict_min=False)
-        object.__setattr__(self, "frequencies", freqs)
 
         dists = tuple(self.distances)
-        if len(dists) == 0:
-            if cont.distance:
+        if cont.distance:
+            if not dists:
                 raise ValueError(
                     "continuous distance requires two limits, got an empty vector"
                 )
-            dists = (1.0,)
-        elif cont.distance:
             dists = _float_pair(dists, "distance")
             if dists[0] <= 0:
                 raise ValueError(f"distance limit {dists[0]} is not positive")
         else:
-            dists = _ascending(dists, "distance", 0.0, strict_min=True)
-        object.__setattr__(self, "distances", dists)
+            dists = _ascending(dists or (1.0,), "distance", 0.0, strict_min=True)
+        _set_values(self, freqs, dists)
 
     # False on sets built by `_unchecked`.
     _validated = True
@@ -215,8 +264,7 @@ class CoordinateSet:
         dirs = tuple(directions) if continuity.direction else _as_directions(directions)
         object.__setattr__(obj, "_validated", False)
         object.__setattr__(obj, "directions", dirs)
-        object.__setattr__(obj, "frequencies", tuple(frequencies))
-        object.__setattr__(obj, "distances", tuple(distances))
+        _set_values(obj, frequencies, distances)
         object.__setattr__(obj, "continuity", continuity)
         return obj
 
@@ -251,11 +299,11 @@ class CoordinateSet:
 
     @property
     def frequency_array(self):
-        return np.array(self.frequencies, dtype=np.float64)
+        return self._values[0].copy()
 
     @property
     def distance_array(self):
-        return np.array(self.distances, dtype=np.float64)
+        return self._values[1].copy()
 
 
 class CoercionResult(NamedTuple):
@@ -264,46 +312,38 @@ class CoercionResult(NamedTuple):
 
 
 def _snap_directions(base, requested):
-    """Discrete requested directions onto `base`: the nearest stored
-    direction, or the elevation clamped into continuous limits.
-
-    Returns (indices, directions); indices is None for a continuous base.
-    """
+    """(indices, directions) of discrete requested directions on `base`:
+    the nearest stored ones, or, with no indices (None), the requested
+    ones with their elevations clamped into continuous limits."""
+    wanted = requested.directions
     if base.continuity.direction:
         lo, hi = base.elevation_limits
-        return None, _Directions(
-            Direction(d.azimuth, min(max(d.elevation, lo), hi))
-            for d in requested.directions
-        )
-    stored, wanted = base.directions, requested.directions
+        clamped = np.clip(wanted.elevations, lo, hi)
+        return None, _Directions(np.column_stack((wanted.azimuths, clamped)))
+    stored = base.directions
     if wanted is stored:
         return stored.self_snap
     idx = kernels.nearest_direction(stored.search_index, wanted.azimuths, wanted.elevations)
-    return idx, _Directions(stored[i] for i in idx.tolist())
+    return idx, _Directions(stored.pairs.take(idx, axis=0))
 
 
-def _snap_values(base_vals, base_continuous, req_vals):
-    """Discrete requested values onto stored ones: the nearest stored
-    value, or the value clamped into continuous limits.
-
-    Returns (indices, values); indices is None for a continuous base.
-    """
+def _snap_values(base, base_continuous, req):
+    """(indices, values) of requested values on stored ones: the nearest
+    stored ones, or, with no indices (None), the requested ones clamped
+    into continuous limits. The values come back as a float64 array."""
     if base_continuous:
-        lo, hi = base_vals
-        return None, tuple(min(max(float(v), lo), hi) for v in req_vals)
-    idx = kernels.nearest_value(
-        np.array(base_vals, dtype=np.float64), np.array(req_vals, dtype=np.float64)
-    )
-    return idx, tuple(float(base_vals[i]) for i in idx)
+        return None, np.clip(req, base[0], base[1])
+    idx = kernels.nearest_value(base, req)
+    return idx, base.take(idx)
 
 
-def _coerce_values(base_vals, base_continuous, req_vals, req_continuous):
-    req = tuple(float(v) for v in req_vals)
+def _coerce_values(base, base_continuous, req, req_continuous):
     if len(req) == 0:
-        return ()
-    _, out = _snap_values(base_vals, base_continuous, req)
+        return req
+    _, out = _snap_values(base, base_continuous, req)
     if req_continuous and not base_continuous:
-        out = (min(out), max(out))
+        out = out.tolist()
+        return np.array([min(out), max(out)])
     return out
 
 
@@ -311,33 +351,29 @@ def coerce(base, requested):
     """Snap `requested` onto `base`: nearest values for discrete dimensions
     of `base`, clamping into the limits for continuous ones.
 
-    Idempotent; the result keeps `requested`'s continuity flags, and the
-    `changed` flag reports whether any value moved. An empty requested
-    dimension stays empty; a non-empty one onto an empty discrete stored
-    dimension raises ValueError, as there is nothing to snap to.
+    Idempotent, except at stored directions within the search's crowded
+    chord (`kernels._CROWDED_CHORD`, 1e-6) of each other: its rounding
+    cannot tell them apart, so of two stored 1e-10 degrees apart a second
+    coercion may move a result from one to the other. The result keeps
+    `requested`'s continuity flags; `changed` reports whether any value
+    moved. An empty requested dimension stays empty; a non-empty one onto
+    an empty discrete stored dimension raises ValueError.
     """
     if requested.continuity.direction:
         # Elevation limits snap to stored elevations or clamp into stored limits.
         continuous = base.continuity.direction
         stored = base.directions if continuous else base.directions.elevations
-        dirs = _coerce_values(stored, continuous, requested.directions, True)
+        dirs = tuple(_coerce_values(stored, continuous, requested.directions, True).tolist())
     else:
         dirs = _snap_directions(base, requested)[1] if requested.directions else ()
-    freqs = _coerce_values(
-        base.frequencies,
-        base.continuity.frequency,
-        requested.frequencies,
-        requested.continuity.frequency,
+    freqs, dists = map(
+        _coerce_values, base._values, base.continuity[1:],
+        requested._values, requested.continuity[1:],
     )
-    dists = _coerce_values(
-        base.distances,
-        base.continuity.distance,
-        requested.distances,
-        requested.continuity.distance,
-    )
-    given = (requested.directions, requested.frequencies, requested.distances)
     coords = CoordinateSet._unchecked(dirs, freqs, dists, requested.continuity)
-    return CoercionResult(coords, (dirs, freqs, dists) != given)
+    given = (requested.directions, requested.frequencies, requested.distances)
+    moved = (coords.directions, coords.frequencies, coords.distances) != given
+    return CoercionResult(coords, moved)
 
 
 def discrete_read_indices(stored, requested):
@@ -357,11 +393,8 @@ def discrete_read_indices(stored, requested):
             f"spectrum_series or balloon_grid for a sampled read)"
         )
     d_idx, dirs = _snap_directions(stored, requested)
-    f_idx, freqs = _snap_values(
-        stored.frequencies, stored.continuity.frequency, requested.frequencies
-    )
-    r_idx, dists = _snap_values(
-        stored.distances, stored.continuity.distance, requested.distances
+    (f_idx, freqs), (r_idx, dists) = map(
+        _snap_values, stored._values, stored.continuity[1:], requested._values
     )
     actual = CoordinateSet._unchecked(dirs, freqs, dists, DISCRETE)
     return d_idx, f_idx, r_idx, actual
@@ -376,9 +409,8 @@ def expand_grid(cs):
     if not cs.is_discrete:
         raise ValueError("cannot expand a coordinate set with continuous dimensions")
     shape = cs.shape
-    direction_grid = np.zeros(shape, dtype=[("azimuth", "f8"), ("elevation", "f8")])
-    direction_grid["azimuth"] = cs.azimuth_array[:, None, None]
-    direction_grid["elevation"] = cs.elevation_array[:, None, None]
+    pairs = cs.directions.pairs.view([("azimuth", "f8"), ("elevation", "f8")])
+    direction_grid = np.broadcast_to(pairs[:, :, None], shape).copy()
     frequency_grid = np.broadcast_to(cs.frequency_array[None, :, None], shape).copy()
     distance_grid = np.broadcast_to(cs.distance_array[None, None, :], shape).copy()
     return direction_grid, frequency_grid, distance_grid

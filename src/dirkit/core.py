@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coords import CoordinateSet, Direction, _as_direction, coerce
+from .coords import CoordinateSet, _Directions, coerce
 from .errors import UnsupportedDatatypeError
 
 DB_FLOOR = -300.0
@@ -241,9 +241,7 @@ class Directivity(ABC):
         else:
             freqs = self.coords.frequency_array
         requested = CoordinateSet(
-            directions=(_as_direction(direction),),
-            frequencies=tuple(freqs),
-            distances=(float(distance),),
+            directions=(direction,), frequencies=freqs, distances=(float(distance),)
         )
         volume = self.get_data_matrix(requested, datatype)
         return SpectrumSeries(
@@ -254,7 +252,7 @@ class Directivity(ABC):
         """Values over direction at one frequency/distance.
 
         Direction-discrete representations report every stored direction,
-        read at the stored tuple itself; direction-continuous ones are
+        read at the stored directions; direction-continuous ones are
         sampled on a 5-degree equiangular grid inside the elevation limits.
         """
         if not datatype.is_spectral:
@@ -264,12 +262,10 @@ class Directivity(ABC):
             lo, hi = self.coords.elevation_limits
             elevations = np.arange(-90.0, 90.0 + BALLOON_STEP_DEG, BALLOON_STEP_DEG)
             elevations = elevations[(elevations >= lo) & (elevations <= hi)]
-            azimuths = np.arange(0.0, 360.0, BALLOON_STEP_DEG)
-            dirs = tuple(
-                Direction(az, el) for el in elevations for az in azimuths
-            )
+            grid = np.meshgrid(np.arange(0.0, 360.0, BALLOON_STEP_DEG), elevations)
+            dirs = _Directions(np.stack(grid, axis=-1).reshape(-1, 2))
         # Only frequency and distance need checking: the directions are
-        # distinct or the stored tuple (a diff's may repeat the pole).
+        # distinct or the stored ones (a diff's may repeat the pole).
         point = CoordinateSet(
             frequencies=(float(frequency),), distances=(float(distance),)
         )

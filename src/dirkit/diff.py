@@ -47,17 +47,13 @@ def _frequency_tolerance(reference):
 def _max_deviation(ref_coords, eva_coords):
     """Per-dimension worst coordinate deviation between two actual reads,
     0.0 for an empty dimension. Reads that landed on the same directions
-    tuple (a fitted model and its source at the stored directions) deviate
+    object (a fitted model and its source at the stored directions) deviate
     by 0.0 in direction, with no angles computed."""
-    if ref_coords.directions is eva_coords.directions:
+    ref, eva = ref_coords.directions, eva_coords.directions
+    if ref is eva:
         angles = ()
     else:
-        angles = great_circle_angle(
-            ref_coords.azimuth_array,
-            ref_coords.elevation_array,
-            eva_coords.azimuth_array,
-            eva_coords.elevation_array,
-        )
+        angles = great_circle_angle(ref.azimuths, ref.elevations, eva.azimuths, eva.elevations)
     return tuple(
         float(np.max(dev, initial=0.0))
         for dev in (

@@ -201,8 +201,7 @@ def _write_preamble(handle, signature, spec, header, info):
 def _write_body(handle, directions, keyword, rows):
     """Write the direction lines, then the (D, W, R) `rows` as D*R `keyword`
     lines (distance slow, direction fast)."""
-    for direction in directions:
-        handle.write(_line("dir", (direction.azimuth, direction.elevation)))
+    handle.writelines(_line("dir", pair) for pair in directions.pairs.tolist())
     for r in range(rows.shape[2]):
         for d in range(rows.shape[0]):
             handle.write(_line(keyword, rows[d, :, r].tolist()))

@@ -59,7 +59,7 @@ class RawIRs(Directivity):
                 f"response: the frequency bins collapse or the sample times overflow"
             )
         coords = CoordinateSet(
-            directions=directions, frequencies=tuple(bins), distances=distances
+            directions=directions, frequencies=bins, distances=distances
         )
         shape = coords.shape
         if irs.shape[0] != shape[0] or irs.shape[2] != shape[2]:
@@ -115,10 +115,7 @@ class RawIRs(Directivity):
             # role here and the middle axis becomes time in seconds.
             values = gather(self._irs, d_idx, np.arange(self.ir_length), r_idx)
             coords = CoordinateSet._unchecked(
-                actual.directions,
-                tuple(self._times),
-                actual.distances,
-                actual.continuity,
+                actual.directions, self._times, actual.distances, actual.continuity
             )
             return DataVolume(values, coords, datatype)
 

@@ -82,11 +82,7 @@ def synth_directions(spec):
 def synth_test_set(spec, info=""):
     """Generate the RawIRs object described by a SynthSpec."""
     directions = synth_directions(spec)
-    gains = synth_gain(
-        spec,
-        np.array([d[0] for d in directions]),
-        np.array([d[1] for d in directions]),
-    )
+    gains = synth_gain(spec, *np.array(directions).T)
     irs = np.zeros((len(directions), spec.length, 1))
     irs[:, 0, 0] = gains
     if spec.mode == "lowpass":

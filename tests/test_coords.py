@@ -1,19 +1,28 @@
 """Coordinate model: validation, coercion, conversion, grids."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirkit import (
     Continuity,
     CoordinateSet,
+    DataType,
     Direction,
+    DirectivityDiff,
+    SynthSpec,
     coerce,
     expand_grid,
+    fit_basis_model,
     great_circle_angle,
     interaural_to_spherical,
     spherical_to_interaural,
+    synth_directions,
+    synth_test_set,
 )
 from dirkit import kernels
 from dirkit.coords import discrete_read_indices
@@ -618,3 +627,254 @@ def test_great_circle_symmetric_and_triangle_inequality():
         ac = great_circle_angle(az[0], el[0], az[2], el[2])
         assert ab == pytest.approx(ba, abs=1e-12)
         assert ac <= ab + bc + 1e-9
+
+
+# --------------------------------------------------------------------------
+# array validation against per-element references
+# --------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+def _reference_direction(value):
+    """`Direction`'s rule for one pair, one Python float at a time."""
+    az, el = (value.azimuth, value.elevation) if isinstance(value, Direction) else value
+    az, el = float(az), float(el)
+    if not (math.isfinite(az) and math.isfinite(el)):
+        raise ValueError(f"direction ({az}, {el}) has non-finite components")
+    if not -90.0 <= el <= 90.0:
+        raise ValueError(f"elevation {el} outside [-90, +90]")
+    az %= 360.0
+    return (0.0 if az == 360.0 else az, el)
+
+
+def _reference_directions(values):
+    """Each pair by `_reference_direction`, then the first repeat named."""
+    pairs = [_reference_direction(v) for v in values]
+    seen = set()
+    for key in pairs:
+        if key in seen:
+            raise ValueError(f"duplicate direction {key}")
+        seen.add(key)
+    return pairs
+
+
+def _outcome(build, *args):
+    """(result, None) of build(*args), or (None, (type, message)) if it raises."""
+    try:
+        return build(*args), None
+    except Exception as exc:  # the property compares any exception
+        return None, (type(exc), str(exc))
+
+
+_AZIMUTHS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 360.0, -360.0, 720.0, np.nextafter(360.0, 0.0), np.nextafter(0.0, 1.0),
+         1e-20, -1e-20, 1e-300, -1e-300, -5e-324, 359.9999999999999, 1e300,
+         float("nan"), float("inf"), -float("inf")]
+    ),
+    st.floats(-1000.0, 1000.0),
+)
+_ELEVATIONS = st.one_of(
+    st.sampled_from(
+        [90.0, -90.0, np.nextafter(90.0, 91.0), np.nextafter(-90.0, -91.0), 0.0, -0.0,
+         float("nan"), float("inf"), -float("inf")]
+    ),
+    st.floats(-90.0, 90.0),
+    st.floats(-91.0, 91.0),
+)
+
+
+@st.composite
+def _direction_inputs(draw):
+    """Pairs with repeats (some 360 degrees apart), given as pairs, as
+    `Direction`s where each is valid, mixed, or as an unchecked holder."""
+    pairs = draw(st.lists(st.tuples(_AZIMUTHS, _ELEVATIONS), max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if pairs else 0):
+        az, el = pairs[draw(st.integers(0, len(pairs) - 1))]
+        turn = draw(st.sampled_from([0.0, 360.0, -360.0]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (az + turn, el))
+    form = draw(st.sampled_from(["pairs", "directions", "mixed", "holder"]))
+    if form == "pairs":
+        return pairs
+    if form == "holder":
+        return _outcome(CoordinateSet._unchecked, pairs, (), (1.0,))[0] or pairs
+    made = []
+    for i, pair in enumerate(pairs):
+        direction, _ = _outcome(Direction, *pair)
+        keep = direction is not None and (form == "directions" or i % 2)
+        made.append(direction if keep else pair)
+    return made
+
+
+@PROPERTY
+@given(values=_direction_inputs())
+def test_array_direction_validation_matches_the_per_element_rule(values):
+    if isinstance(values, CoordinateSet):
+        values = values.directions
+    expected, expected_error = _outcome(_reference_directions, list(values))
+    cs, error = _outcome(CoordinateSet, values)
+    assert error == expected_error
+    if expected_error is None:
+        az, el = (np.array([p[i] for p in expected], dtype=np.float64) for i in (0, 1))
+        # Bytes, so that a signed zero counts.
+        assert cs.directions.azimuths.tobytes() == az.tobytes()
+        assert cs.directions.elevations.tobytes() == el.tobytes()
+        assert [(d.azimuth, d.elevation) for d in cs.directions] == expected
+        for value, pair in zip(values, expected):
+            direction = value if isinstance(value, Direction) else Direction(*value)
+            assert (direction.azimuth, direction.elevation) == pair
+
+
+def _reference_ascending(values, what, minimum, strict_min):
+    """The checks of a discrete frequency or distance vector, one value at a time."""
+    vals = tuple(float(v) for v in values)
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} value {v} is not finite")
+        if v < minimum or (strict_min and v == minimum):
+            bound = f"> {minimum}" if strict_min else f">= {minimum}"
+            raise ValueError(f"{what} value {v} violates {bound}")
+    for a, b in zip(vals, vals[1:]):
+        if a >= b:
+            raise ValueError(f"{what} vector not strictly ascending at {a}, {b}")
+    return vals
+
+
+def _reference_snap(stored, values):
+    """Index of the first stored value nearest each requested one."""
+    return [min(range(len(stored)), key=lambda i: abs(stored[i] - v)) for v in values]
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, 1e300, float("nan"), float("inf"),
+         -float("inf")]
+    ),
+    st.floats(-10.0, 1000.0),
+)
+
+
+@PROPERTY
+@given(
+    values=st.lists(_VALUES, max_size=8),
+    ascending=st.booleans(),
+    stored=st.lists(st.floats(0.25, 1000.0), min_size=1, max_size=6, unique=True),
+)
+def test_array_value_checks_snaps_and_clamps_match_per_element_rules(values, ascending, stored):
+    if ascending:
+        values = sorted(values, key=lambda v: (math.isnan(v), v))
+    stored = sorted(stored)
+    for what, minimum, strict in (("frequency", 0.0, False), ("distance", 0.0, True)):
+        expected, expected_error = _outcome(_reference_ascending, values, what, minimum, strict)
+        key = "frequencies" if what == "frequency" else "distances"
+        cs, error = _outcome(CoordinateSet, [(0.0, 0.0)], *(
+            ((values, ()) if what == "frequency" else ((1.0,), values))
+        ))
+        if what == "distance" and not values:
+            expected, expected_error = (1.0,), None
+        assert error == expected_error
+        if expected_error is not None:
+            continue
+        got = getattr(cs, key)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert _bits(got) == _bits(expected)
+
+        # The nearest stored value, and the clamp into continuous limits.
+        base = CoordinateSet(directions=[(0.0, 0.0)], **{"frequencies": (1.0,), key: stored})
+        idx = discrete_read_indices(base, cs)[1 if what == "frequency" else 2]
+        assert list(idx) == _reference_snap(stored, expected)
+        snapped = coerce(base, cs).coords
+        assert _bits(getattr(snapped, key)) == _bits([stored[i] for i in idx])
+        lo, hi = stored[0], stored[-1]
+        flags = Continuity(frequency=what == "frequency", distance=what == "distance")
+        limits = CoordinateSet(
+            directions=[(0.0, 0.0)], **{"frequencies": (1.0,), key: (lo, hi)}, continuity=flags
+        )
+        clamped = discrete_read_indices(limits, cs)[3]
+        assert _bits(getattr(clamped, key)) == _bits([min(max(v, lo), hi) for v in expected])
+        # A continuous request keeps the least and greatest snapped value.
+        if len(expected) >= 2 and what == "frequency":
+            request = CoordinateSet(
+                directions=[(0.0, 0.0)], frequencies=(expected[0], expected[-1]),
+                continuity=Continuity(frequency=True),
+            )
+            ends = [stored[i] for i in _reference_snap(stored, request.frequencies)]
+            assert coerce(base, request).coords.frequencies == (min(ends), max(ends))
+
+
+def test_value_snaps_of_empty_lists():
+    empty = CoordinateSet(directions=[(0.0, 0.0)], frequencies=())
+    some = CoordinateSet(directions=[(0.0, 0.0)], frequencies=(10.0, 20.0))
+    _, f_idx, _, actual = discrete_read_indices(some, empty)
+    assert list(f_idx) == [] and actual.frequencies == ()
+    # Coercion keeps an empty request empty; a read searches the stored list.
+    for stored in (empty, some):
+        assert coerce(stored, empty).coords.frequencies == ()
+    for request in (empty, some):
+        with pytest.raises(ValueError, match="cannot search an empty value list"):
+            discrete_read_indices(empty, request)
+
+
+def test_signed_zero_clamps_as_min_and_max_do():
+    # Python's max and min keep their first argument on a tie, so signed
+    # zeros clamp to the sign of the value or of the limit, by position.
+    for lo, hi in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)):
+        stored = CoordinateSet(
+            directions=(lo, hi), frequencies=(lo, hi + 100.0), continuity=Continuity(True, True)
+        )
+        requested = CoordinateSet(directions=[(10.0, -0.0), (20.0, 0.0)], frequencies=(-0.0,))
+        _, _, _, actual = discrete_read_indices(stored, requested)
+        expected = [min(max(el, lo), hi) for el in (-0.0, 0.0)]
+        assert _bits(actual.directions.elevations) == _bits(expected)
+        assert _bits(actual.frequencies) == _bits([min(max(-0.0, lo), hi + 100.0)])
+
+
+# --------------------------------------------------------------------------
+# no per-direction objects on the read path
+# --------------------------------------------------------------------------
+
+def test_reads_from_raw_values_make_no_direction_objects(monkeypatch):
+    spec = SynthSpec(mode="lowpass", azimuth_step=2.0, elevation_step=2.0,
+                     elevation_limits=(-40.0, 90.0), length=64)
+    raw = synth_test_set(spec)
+    model = fit_basis_model("model", raw, "fourier", 8)
+    band = CoordinateSet(
+        directions=[(az, el) for az, el in synth_directions(spec) if abs(el) <= 10.0],
+        frequencies=raw.coords.frequencies[1:],
+    )
+    diff = DirectivityDiff("band", raw, model, band)
+    rng = np.random.default_rng(SEED + 4)
+
+    def patch():
+        return {
+            "directions": tuple(
+                zip(rng.uniform(0.0, 360.0, 64).tolist(), rng.uniform(-90.0, 90.0, 64).tolist())
+            ),
+            "frequencies": tuple(np.unique(rng.uniform(0.0, 24000.0, 16)).tolist()),
+            "distances": (float(rng.uniform(0.5, 3.0)),),
+        }
+
+    calls = []
+    original = Direction.__post_init__
+    monkeypatch.setattr(
+        Direction, "__post_init__", lambda self: calls.append(1) or original(self)
+    )
+    holders = []
+    for obj, datatype in ((raw, DataType.LOG_MAGNITUDE), (model, DataType.LINEAR_MAGNITUDE),
+                          (diff, DataType.LOG_MAGNITUDE)):
+        request = CoordinateSet(**patch())
+        assert len(request.directions) == 64
+        volume = obj.get_data_matrix(request, datatype)
+        holders += [request.directions, volume.coords.directions, obj.coords.directions]
+    request = CoordinateSet(**patch())
+    holders += [request.directions, raw.coerce_onto(request).coords.directions]
+    series = model.spectrum_series((123.4, -56.7), 1.3)
+    holders.append(series.coords.directions)
+    assert calls == []
+    # Nor are any made without their checks: no holder was iterated or indexed.
+    assert not any("_items" in vars(holder) for holder in holders)

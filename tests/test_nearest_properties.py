@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirkit import kernels
-from dirkit.coords import CoordinateSet, Direction, _Directions, discrete_read_indices
+from dirkit.coords import CoordinateSet, Direction, _as_directions, discrete_read_indices
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -332,7 +332,7 @@ def test_the_preset_self_read_of_moved_directions_matches_a_fresh_one(
     stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
     idx, moved = stored.directions.self_snap
     assert moved is not stored.directions
-    fresh = _Directions(tuple(moved))
+    fresh = _as_directions(tuple(moved))
     assert moved.azimuths.tobytes() == fresh.azimuths.tobytes()
     assert moved.elevations.tobytes() == fresh.elevations.tobytes()
     if not (near or extra):
