@@ -230,9 +230,7 @@ def cmd_sweep(args):
 
 def cmd_extract_ir(args):
     obj = _load(args.input, args.receiver)
-    requested = CoordinateSet(
-        directions=[(args.azimuth, args.elevation)], distances=(args.distance,)
-    )
+    requested = CoordinateSet(directions=[(args.azimuth, args.elevation)], distances=(args.distance,))
     vector, actual = obj.get_data_vector(requested, DataType.IMPULSE_RESPONSES)
     direction = actual.directions[0]
     print(

@@ -129,6 +129,11 @@ class _Directions(Sequence):
         return idx, moved
 
 
+# The largest |azimuth| and |elevation| of a valid pair: any finite azimuth,
+# an elevation in [-90, +90]. A nan fails both.
+_PAIR_BOUNDS = np.array([np.finfo(np.float64).max, 90.0])
+
+
 def _as_directions(values):
     """Discrete directions as a `_Directions`, keeping one as it is. The
     pairs are checked and wrapped by `Direction`'s rule over whole arrays."""
@@ -144,8 +149,7 @@ def _as_directions(values):
     if pairs.shape[1:] != (2,) and pairs.shape != (0,):
         raise ValueError(f"directions must be (azimuth, elevation) pairs, got {pairs.shape}")
     pairs = pairs.reshape(-1, 2)
-    # A finite azimuth and an elevation in [-90, +90]; nan fails both.
-    valid = np.abs(pairs) <= (np.finfo(np.float64).max, 90.0)
+    valid = np.abs(pairs) <= _PAIR_BOUNDS
     if not valid.all():
         Direction(*pairs[valid.all(axis=1).argmin()].tolist())  # raises Direction's error
     pairs[:, 0] = _wrap_degrees(pairs[:, 0])
@@ -172,6 +176,11 @@ def _ascending(values, what, minimum, strict_min):
     vals = np.array(values, dtype=np.float64)
     if vals.ndim != 1:
         raise TypeError(f"{what} values must be a flat sequence of numbers")
+    # Ascending from a first value above the minimum to a finite last one,
+    # every value is finite and above the minimum; a nan breaks the order.
+    first = not len(vals) or (vals[0] > minimum if strict_min else vals[0] >= minimum)
+    if first and (vals[1:] > vals[:-1]).all() and (not len(vals) or vals[-1] < math.inf):
+        return vals
     bad = ~np.isfinite(vals) | ((vals <= minimum) if strict_min else (vals < minimum))
     if bad.any():
         v = float(vals[bad.argmax()])
@@ -222,15 +231,15 @@ class CoordinateSet:
                 raise ValueError(f"elevation limits {dirs} outside [-90, +90]")
         else:
             dirs = _as_directions(self.directions)
-            # Each pair as one complex key; a stable sort keeps equal keys
-            # in input order, so the first repeat is named.
+            # Each pair as one complex key: a sort finds a repeat, and a stable
+            # sort, which keeps equal keys in input order, names the first.
             keys = dirs.pairs.view(np.complex128).ravel()
-            order = np.argsort(keys, kind="stable")
-            ordered = keys[order]
-            repeats = order[1:][ordered[1:] == ordered[:-1]]
-            if repeats.size:
-                key = tuple(dirs.pairs[repeats.min()].tolist())
-                raise ValueError(f"duplicate direction {key}")
+            ordered = np.sort(keys)
+            if (ordered[1:] == ordered[:-1]).any():
+                order = np.argsort(keys, kind="stable")
+                ordered = keys[order]
+                first = order[1:][ordered[1:] == ordered[:-1]].min()
+                raise ValueError(f"duplicate direction {tuple(dirs.pairs[first].tolist())}")
         object.__setattr__(self, "directions", dirs)
 
         if cont.frequency:
@@ -317,9 +326,8 @@ def _snap_directions(base, requested):
     ones with their elevations clamped into continuous limits."""
     wanted = requested.directions
     if base.continuity.direction:
-        lo, hi = base.elevation_limits
-        clamped = np.clip(wanted.elevations, lo, hi)
-        return None, _Directions(np.column_stack((wanted.azimuths, clamped)))
+        elevations = np.clip(wanted.elevations, *base.elevation_limits)
+        return None, _Directions(np.column_stack((wanted.azimuths, elevations)))
     stored = base.directions
     if wanted is stored:
         return stored.self_snap
@@ -342,8 +350,7 @@ def _coerce_values(base, base_continuous, req, req_continuous):
         return req
     _, out = _snap_values(base, base_continuous, req)
     if req_continuous and not base_continuous:
-        out = out.tolist()
-        return np.array([min(out), max(out)])
+        return np.array([min(out.tolist()), max(out.tolist())])
     return out
 
 
@@ -372,8 +379,7 @@ def coerce(base, requested):
     )
     coords = CoordinateSet._unchecked(dirs, freqs, dists, requested.continuity)
     given = (requested.directions, requested.frequencies, requested.distances)
-    moved = (coords.directions, coords.frequencies, coords.distances) != given
-    return CoercionResult(coords, moved)
+    return CoercionResult(coords, (coords.directions, coords.frequencies, coords.distances) != given)
 
 
 def discrete_read_indices(stored, requested):

@@ -176,9 +176,7 @@ def _read_preamble(path, signature, spec):
 def _read_body(reader, d_count, r_count, expected, keyword, width, what):
     """Read D direction lines, then D*R `keyword` rows of `width` values
     (distance slow, direction fast) that end the file, as a (D, width, R) array."""
-    directions = [
-        tuple(reader.values("a direction line", "dir", 2, "angle")) for _ in range(d_count)
-    ]
+    directions = [reader.values("a direction line", "dir", 2, "angle") for _ in range(d_count)]
     rows = np.empty((d_count, width, r_count))
     for r in range(r_count):
         for d in range(d_count):

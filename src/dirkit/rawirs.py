@@ -58,9 +58,7 @@ class RawIRs(Directivity):
                 f"sample rate {sample_rate} Hz is too small for {length} samples per "
                 f"response: the frequency bins collapse or the sample times overflow"
             )
-        coords = CoordinateSet(
-            directions=directions, frequencies=bins, distances=distances
-        )
+        coords = CoordinateSet(directions=directions, frequencies=bins, distances=distances)
         shape = coords.shape
         if irs.shape[0] != shape[0] or irs.shape[2] != shape[2]:
             raise ValueError(
