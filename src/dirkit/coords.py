@@ -73,6 +73,11 @@ class _Directions(Sequence):
         self.pairs = pairs
         self.azimuths, self.elevations = pairs.T
 
+    def __reduce__(self):
+        # Rebuilt from the pairs alone: read-only, with column views and
+        # no caches.
+        return _Directions, (self.pairs,)
+
     @cached_property
     def _items(self):
         # The pairs are checked and wrapped already: skip Direction's checks.
@@ -183,16 +188,22 @@ def _ascending(values, what, minimum, strict_min):
         return vals
     bad = ~np.isfinite(vals) | ((vals <= minimum) if strict_min else (vals < minimum))
     if bad.any():
-        v = float(vals[bad.argmax()])
-        if not math.isfinite(v):
-            raise ValueError(f"{what} value {v} is not finite")
-        bound = f"> {minimum}" if strict_min else f">= {minimum}"
-        raise ValueError(f"{what} value {v} violates {bound}")
+        _check_value(float(vals[bad.argmax()]), what, minimum, strict_min)
     down = vals[:-1] >= vals[1:]
     if down.any():
         a, b = vals[down.argmax() :][:2].tolist()
         raise ValueError(f"{what} vector not strictly ascending at {a}, {b}")
     return vals
+
+
+def _check_value(v, what, minimum, strict_min):
+    """Raise `_ascending`'s error for a float `v` that is not finite or is
+    below `minimum` (or at it, with `strict_min`)."""
+    if not math.isfinite(v):
+        raise ValueError(f"{what} value {v} is not finite")
+    if not (v > minimum if strict_min else v >= minimum):
+        bound = f"> {minimum}" if strict_min else f">= {minimum}"
+        raise ValueError(f"{what} value {v} violates {bound}")
 
 
 def _set_values(cs, frequencies, distances):
@@ -264,6 +275,11 @@ class CoordinateSet:
 
     # False on sets built by `_unchecked`.
     _validated = True
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        for vals in self._values:  # pickle brings arrays back writeable
+            vals.setflags(write=False)
 
     @classmethod
     def _unchecked(cls, directions, frequencies, distances, continuity=DISCRETE):

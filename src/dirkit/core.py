@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coords import CoordinateSet, _Directions, coerce
+from .coords import CoordinateSet, _Directions, _check_value, coerce
 from .errors import UnsupportedDatatypeError
 
 DB_FLOOR = -300.0
@@ -266,10 +266,10 @@ class Directivity(ABC):
             dirs = _Directions(np.stack(grid, axis=-1).reshape(-1, 2))
         # Only frequency and distance need checking: the directions are
         # distinct or the stored ones (a diff's may repeat the pole).
-        point = CoordinateSet(
-            frequencies=(float(frequency),), distances=(float(distance),)
-        )
-        requested = CoordinateSet._unchecked(dirs, point.frequencies, point.distances)
+        frequency, distance = float(frequency), float(distance)
+        _check_value(frequency, "frequency", 0.0, strict_min=False)
+        _check_value(distance, "distance", 0.0, strict_min=True)
+        requested = CoordinateSet._unchecked(dirs, (frequency,), (distance,))
         volume = self.get_data_matrix(requested, datatype)
         return BalloonGrid(
             volume.coords.directions, volume.values[:, 0, 0], volume.coords

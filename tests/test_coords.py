@@ -421,9 +421,16 @@ def test_stored_directions_act_as_a_plain_tuple():
         distances=(1.0, 2.0),
     )
     assert hash(cs) == hash(from_pairs) and cs == from_pairs
-    # A pickle round trip gives an equal set, before and after its first read.
+    # A pickle round trip gives an equal set, before and after its first read,
+    # with read-only arrays, column views of the pairs and no cached state.
     for _ in range(2):
         again = pickle.loads(pickle.dumps(cs))
+        held = again.directions
+        assert not vars(held)
+        for array in (held.pairs, held.azimuths, held.elevations, *again._values):
+            assert not array.flags.writeable
+        assert np.shares_memory(held.pairs, held.azimuths)
+        assert np.shares_memory(held.pairs, held.elevations)
         assert again == cs and hash(again) == hash(cs)
         d_idx, _, _, actual = discrete_read_indices(again, again)
         assert list(d_idx) == [0, 1, 2] and actual == again

@@ -1,8 +1,10 @@
-"""DIRD/DIRM round trips over generated contents.
+"""DIRD/DIRM round trips and reader agreement over generated contents.
 
 Every finite float64 (negative zero, subnormals and the extremes
 included) and every info string must come back bit for bit, and writing
-what was read back must reproduce the first file byte for byte.
+what was read back must reproduce the first file byte for byte. On
+mutated bodies the fast row pass and the strict reader must agree on the
+values or on the error.
 """
 
 import os
@@ -23,6 +25,8 @@ from dirkit import (
     write_dird,
     write_dirm,
 )
+from dirkit import formats
+from dirkit.errors import FormatError
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -111,3 +115,106 @@ def test_dirm_round_trip_is_exact(model):
     assert back.family is model.family
     _assert_bits_equal(back.source_bins, model.source_bins)
     _assert_bits_equal(back.coefficients, model.coefficients)
+
+
+# Tokens that `float` reads (hex floats are not among them), tokens it
+# rejects, and ones it reads as non-finite.
+TOKENS = ("0", "0x1p3", "1_0", "\u0661\u0662", "nan", "inf", "-inf", "1e400", "+1", ".5",
+          "ir", "1\r", "1\t", "")
+KEYWORDS = ("ir", "coef", "dir", "IR", "ir\r", "", "dist")
+SHAPES = ("missing", "doubled", "leading", "trailing", "tab", "cr", "drop line",
+          "repeat line")
+picks = st.integers(0, 7)
+mutations = st.one_of(
+    st.tuples(st.sampled_from(("value", "extra")), st.sampled_from(TOKENS), picks),
+    st.tuples(st.just("keyword"), st.sampled_from(KEYWORDS), picks),
+    st.tuples(st.sampled_from(SHAPES), st.just(""), picks),
+)
+
+
+def _mutate(lines, at, mutation):
+    """Apply one mutation to `lines[at]`, a body line, in place."""
+    kind, token, pick = mutation
+    if kind == "drop line":
+        del lines[at]
+        return
+    if kind == "repeat line":
+        lines.insert(at, lines[at])
+        return
+    tokens = lines[at].split(" ")
+    i = 1 + pick % (len(tokens) - 1)  # a value token
+    if kind == "value":
+        tokens[i] = token
+    elif kind == "keyword":
+        tokens[0] = token
+    elif kind == "missing":
+        del tokens[i]
+    elif kind == "extra":
+        tokens.insert(i, token)
+    elif kind == "doubled":
+        tokens.insert(i, "")
+    elif kind == "leading":
+        tokens.insert(0, "")
+    elif kind == "trailing":
+        tokens.append("")
+    elif kind == "tab":
+        tokens[i - 1:i + 1] = [tokens[i - 1] + "\t" + tokens[i]]
+    else:
+        tokens[i] += "\r"
+    lines[at] = " ".join(tokens)
+
+
+def _outcome(read, path):
+    try:
+        back = read(path)
+    except FormatError as exc:
+        return exc
+    body = back.irs if isinstance(back, RawIRs) else back.coefficients
+    values = (back.coords.directions.pairs, back.coords.distance_array, body)
+    return tuple(np.asarray(v).tobytes() for v in values) + (body.shape, back.info)
+
+
+def _agree(read, text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "mutated")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        fast = _outcome(read, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_fast_rows", lambda *args: False)
+            strict = _outcome(read, path)
+    if isinstance(strict, FormatError):
+        assert isinstance(fast, FormatError), f"only the strict reader rejects: {strict}"
+        assert (str(fast), fast.line) == (str(strict), strict.line)
+    else:
+        assert fast == strict
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    obj=st.one_of(raw_sets(), models()),
+    defects=st.lists(mutations, min_size=1, max_size=2),
+    where=st.data(),
+)
+def test_fast_rows_and_strict_reader_agree_on_mutated_bodies(obj, defects, where):
+    write, read, start = (
+        (write_dird, read_dird, 4) if isinstance(obj, RawIRs) else (write_dirm, read_dirm, 5)
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "valid")
+        write(obj, path)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")[:-1]
+    # As many defects on `dir` lines as on `ir`/`coef` rows.
+    body = start + len(obj.coords.directions)
+    line = st.one_of(st.integers(start, body - 1), st.integers(body, len(lines) - 1))
+    rows = where.draw(
+        st.lists(line, min_size=len(defects), max_size=len(defects), unique=True).map(sorted)
+    )
+    # With two defects, each one goes first in the file once. The later
+    # line is mutated first so that a dropped or repeated line moves none.
+    for order in (defects, defects[::-1])[: len(defects)]:
+        mutated = lines.copy()
+        for at, mutation in reversed(list(zip(rows, order))):
+            _mutate(mutated, at, mutation)
+        _agree(read, "\n".join(mutated) + "\n")

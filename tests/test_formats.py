@@ -15,6 +15,7 @@ from dirkit import (
     write_dird,
     write_dirm,
 )
+from dirkit import formats
 
 SEED = 20240816
 
@@ -199,6 +200,25 @@ def test_dirm_round_trip_evaluates_identically(tmp_path):
     a = model.get_data_matrix(request, DataType.LOG_MAGNITUDE).values
     b = back.get_data_matrix(request, DataType.LOG_MAGNITUDE).values
     np.testing.assert_array_equal(a, b)
+
+
+def test_body_rows_take_the_fast_pass(tmp_path, monkeypatch):
+    # Only header, distance and bin values go through the per-token parser;
+    # a direction, sample or coefficient there means the strict reader read
+    # the body.
+    rng = np.random.default_rng(SEED + 9)
+    write_dird(make_raw(rng), tmp_path / "set.dird")
+    write_dirm(make_model(rng), tmp_path / "model.dirm")
+    parsed = []
+    parse = formats._parse_float
+    monkeypatch.setattr(
+        formats, "_parse_float", lambda *args: parsed.append(args[3]) or parse(*args)
+    )
+    read_dird(tmp_path / "set.dird")
+    assert parsed == ["fs", "distance", "distance"]
+    parsed.clear()
+    read_dirm(tmp_path / "model.dirm")
+    assert parsed == ["fmin", "fmax"] + ["distance"] * 2 + ["frequency"] * 8
 
 
 def test_files_end_with_newline_and_use_lf(tmp_path):

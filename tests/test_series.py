@@ -1,5 +1,7 @@
 """Spectrum-series and balloon-grid sampling on top of matrix reads."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,28 @@ def test_balloon_rejects_time_domain_datatype():
     raw = synth_test_set(SynthSpec(length=64))
     with pytest.raises(ValueError):
         raw.balloon_grid(1000.0, datatype=DataType.IMPULSE_RESPONSES)
+
+
+@pytest.mark.parametrize(
+    "frequency, distance",
+    [
+        (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0), (-1.0, 1.0),
+        (-5e-324, 1.0), (1000.0, 0.0), (1000.0, -0.0), (1000.0, -2.0),
+        (1000.0, float("nan")), (1000.0, float("inf")), (-1.0, 0.0),
+        (float("nan"), float("nan")), ("1e3x", 1.0), (1000.0, None),
+    ],
+)
+def test_balloon_rejects_a_bad_point_as_a_coordinate_set_does(frequency, distance):
+    # The point is checked as scalars; the errors are those of a one-value
+    # coordinate set, frequency first.
+    raw = synth_test_set(SynthSpec(length=64))
+    with pytest.raises((TypeError, ValueError)) as expected:
+        CoordinateSet(frequencies=(float(frequency),), distances=(float(distance),))
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        raw.balloon_grid(frequency, distance)
+
+
+def test_balloon_accepts_the_edges_of_the_point():
+    raw = synth_test_set(SynthSpec(length=64))
+    for frequency in (0.0, -0.0, 1e300):
+        assert raw.balloon_grid(frequency, 5e-324).coords.distances == (1.0,)
