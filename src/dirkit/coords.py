@@ -114,23 +114,26 @@ class _Directions(Sequence):
     def self_snap(self):
         """(indices, directions) of a read at these directions.
 
-        Only crowded directions (kernels.crowded_directions) are searched,
-        sending pole copies to their first row. With no row moved, the
-        directions are this holder itself; otherwise a `take` of it whose
-        self-read is preset when every row lands at or before itself on a
-        row that lands on itself. The index is always built, so an empty
-        list is rejected.
+        Each row lands on the first row with an equal search vector
+        (kernels._search_vectors), as a search for it would, so the
+        copies of a pole land on the first; one sort finds them, and no
+        search runs. With no row moved, the directions are this holder
+        itself; otherwise a `take` of it, whose own read is preset, since
+        every row it holds lands on itself. The index is always built, so
+        an empty list is rejected.
         """
-        az, el = self.azimuths, self.elevations
-        idx = np.arange(len(self), dtype=np.int64)
-        rows = np.flatnonzero(kernels.crowded_directions(az, el))
-        idx[rows] = kernels.nearest_direction(self.search_index, az[rows], el[rows])
+        index = self.search_index
+        # Equal vectors next to each other, the lowest stored row first.
+        by = np.lexsort((index.order, index.z, index.y, index.x))
+        rows, vectors = index.order[by], np.stack((index.x, index.y, index.z))[:, by]
+        new = np.append(True, (vectors[:, 1:] != vectors[:, :-1]).any(axis=0))
+        idx = np.empty_like(rows)
+        idx[rows] = rows[new][new.cumsum() - 1]
         idx.setflags(write=False)
-        if np.array_equal(idx[rows], rows):
+        if new.all():
             return idx, self
         moved = _Directions(self.pairs.take(idx, axis=0))
-        if (idx[rows] <= rows).all() and np.array_equal(idx[idx[rows]], idx[rows]):
-            vars(moved)["self_snap"] = (idx, moved)
+        vars(moved)["self_snap"] = (idx, moved)
         return idx, moved
 
 
@@ -374,11 +377,9 @@ def coerce(base, requested):
     """Snap `requested` onto `base`: nearest values for discrete dimensions
     of `base`, clamping into the limits for continuous ones.
 
-    Idempotent, except at stored directions within the search's crowded
-    chord (`kernels._CROWDED_CHORD`, 1e-6) of each other: its rounding
-    cannot tell them apart, so of two stored 1e-10 degrees apart a second
-    coercion may move a result from one to the other. The result keeps
-    `requested`'s continuity flags; `changed` reports whether any value
+    Idempotent: a direction snaps to the first stored one with its search
+    vector (kernels._search_vectors), which snaps to itself. The result
+    keeps `requested`'s continuity flags; `changed` reports whether any value
     moved. An empty requested dimension stays empty; a non-empty one onto
     an empty discrete stored dimension raises ValueError.
     """

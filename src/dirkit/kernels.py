@@ -1,15 +1,15 @@
 """Numeric inner loops: nearest-neighbor searches and basis design matrices.
 
-Ties in the nearest-neighbor searches go to the lowest index, as
-argmin/argmax over every stored entry would give them. The direction
-search is windowed: an index of z slabs, each sorted by azimuth and
-built once per stored list, limits each request to the slabs whose z
-lies close enough to hold the nearest one and, in each, to the azimuth
-window that can reach it. It evaluates those with the full scan's
-expression, so its indices are bit-identical to the full scan's.
+Ties in the nearest-neighbor searches go to the lowest index, as argmin
+over every stored entry would give them. The direction search ranks by
+squared chord, which is 0 only between equal search vectors, and is
+windowed: an index of z slabs, each sorted by azimuth and built once per
+stored list, limits each request to the slabs whose z lies close enough
+to hold the nearest one and, in each, to the azimuth window that can
+reach it. It evaluates those with the full scan's expression, so its
+indices are bit-identical to the full scan's.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -23,20 +23,41 @@ def _unit_vectors(azimuth_deg, elevation_deg):
     return cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)
 
 
+# Search vector components below this in magnitude are 0, so two distinct
+# components differ by at least 2**-532, whose square is not 0.
+_TINY = 2.0**-480
+
+
+def _search_vectors(azimuth_deg, elevation_deg):
+    """Unit vectors as the direction search ranks them: x = y = 0 where
+    |elevation| = 90, so the copies of a pole are one point, and every
+    component below _TINY is 0. So the squared chord of two is 0 exactly
+    when they are equal, and a horizontal length is 0 or above _TINY."""
+    el = np.asarray(elevation_deg, dtype=np.float64)
+    x, y, z = _unit_vectors(azimuth_deg, el)
+    pole = np.abs(el) == 90.0
+    x[pole] = y[pole] = 0.0
+    for v in (x, y, z):
+        v[np.abs(v) < _TINY] = 0.0
+    return x, y, z
+
+
+def _chords(rx, ry, rz, index, pos):
+    """Squared chords from (rx, ry, rz) to the stored positions `pos`."""
+    x, y, z = index.x.take(pos), index.y.take(pos), index.z.take(pos)
+    return (rx - x) ** 2 + (ry - y) ** 2 + (rz - z) ** 2
+
+
 # Each search chunk gathers about this many (request, candidate) pairs,
 # so that every temporary holds about this many float64 elements
 # (128 kB) and stays in cache.
 _CHUNK_ELEMENTS = 1 << 14
 
-# Two directions whose unit vectors lie closer than this can swap places
-# in the rounding of the search's dot products; see crowded_directions.
-_CROWDED_CHORD = 1e-6
-
 # Stored directions around a request, in slab and azimuth order, whose
-# best dot product seeds the search.
+# smallest squared chord seeds the search.
 _SEED_WIDTH = 16
 
-# Bounds the rounding of a dot product and of a unit vector's length.
+# Bounds the rounding of a squared chord and of a unit vector's length.
 _SLACK = 1e-12
 
 # Key span of one slab; any azimuth in [-pi, pi] fits with room to spare.
@@ -44,7 +65,7 @@ _SLAB_SPAN = 8.0
 
 
 class DirectionIndex(NamedTuple):
-    """Stored unit vectors cut into z slabs, for nearest_direction.
+    """Stored search vectors cut into z slabs, for nearest_direction.
 
     A slab is a run of about sqrt(n) z-sorted stored directions that
     never splits a ring of equal z; its positions run from `starts[k]`
@@ -68,7 +89,7 @@ class DirectionIndex(NamedTuple):
 
 def direction_index(azimuth_deg, elevation_deg):
     """Build the search index of a stored direction list."""
-    x, y, z = _unit_vectors(azimuth_deg, elevation_deg)
+    x, y, z = _search_vectors(azimuth_deg, elevation_deg)
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot search an empty direction list")
@@ -102,21 +123,21 @@ def direction_index(azimuth_deg, elevation_deg):
 def nearest_direction(index, req_az, req_el):
     """Index of the great-circle-nearest stored direction for each request.
 
-    Nearest by angle == largest dot product of the unit vectors, which
-    avoids an arccos per pair. The best dot product `seed` over the
-    _SEED_WIDTH stored directions around a request bounds the chord to
-    the nearest one, and so the z slabs that can hold it. In each such
-    slab only an azimuth window around the request's azimuth can reach
-    the seed (see _windows), so only that window is compared: rings
-    first, then one azimuth range per ring, as in HEALPix's query_disc
-    (Gorski et al. 2005). Both passes evaluate the same dot products as
-    a full scan, so the index is the one a full scan gives, ties to the
-    lowest stored index.
+    Nearest by angle == smallest squared chord of the search vectors,
+    which avoids an arccos per pair and is 0 only between equal ones, so
+    a stored direction finds itself or an earlier equal one. The best
+    chord `seed` over the _SEED_WIDTH stored directions around a request
+    bounds the z slabs that can hold the nearest one. In each such slab
+    only an azimuth window around the request's azimuth can reach the
+    seed (see _windows), so only that window is compared: rings first,
+    then one azimuth range per ring, as in HEALPix's query_disc (Gorski
+    et al. 2005). Both passes evaluate _chords, as a full scan would, so
+    the index is the one a full scan gives, ties to the lowest index.
     """
     req_az = np.asarray(req_az, dtype=np.float64)
     if not (np.isfinite(req_az).all() and np.isfinite(req_el).all()):
         raise ValueError("cannot search for a non-finite direction")
-    rx, ry, rz = _unit_vectors(req_az, req_el)
+    rx, ry, rz = _search_vectors(req_az, req_el)
     phi, rho = np.arctan2(ry, rx), np.hypot(rx, ry)
     n, q = index.order.shape[0], rx.shape[0]
     width = min(_SEED_WIDTH, n)
@@ -129,15 +150,12 @@ def nearest_direction(index, req_az, req_el):
     step = max(1, _CHUNK_ELEMENTS // width)
     for a in range(0, q, step):
         pos = first[a : a + step, None] + np.arange(width)
-        dots = rx[a : a + step, None] * index.x.take(pos)
-        dots += ry[a : a + step, None] * index.y.take(pos)
-        dots += rz[a : a + step, None] * index.z.take(pos)
-        seed[a : a + step] = dots.max(axis=1)
-    # A stored b whose rounded dot product reaches `seed` has
-    # |r - b|^2 = |r|^2 + |b|^2 - 2 r.b <= 2(1 + s)^2 - 2(seed - s), and
-    # |rz - bz| <= |r - b|; the outer s covers the rounding of `reach`.
+        r = slice(a, a + step)
+        seed[r] = _chords(rx[r, None], ry[r, None], rz[r, None], index, pos).min(axis=1)
+    # A stored b whose rounded chord reaches `seed` has |rz - bz| <=
+    # |r - b| <= sqrt(seed + s); the outer s covers the rounding of `reach`.
     s = _SLACK
-    reach = np.sqrt(2.0 * (1.0 + s) ** 2 - 2.0 * (seed - s)) + s
+    reach = np.sqrt(seed + s) + s
     lo = index.z_hi.searchsorted(rz - reach, side="left")
     slabs = index.z_lo.searchsorted(rz + reach, side="right") - lo
     arg = np.empty(q, dtype=np.int64)
@@ -164,21 +182,23 @@ def _windows(index, phi, rho, rz, seed, first, slabs):
     `slabs` slabs from `first`: two runs (starts, lengths) per request
     and slab, in request order, as arrays of shape (pairs, 2).
 
-    A stored b whose rounded dot product reaches `seed` has
-    rho_r rho_b cos(dphi) >= seed - s - rz bz >= num. When num <= 0 the
-    whole slab is taken. Otherwise cos(dphi) >= num / (rho_r rho_max),
-    and a slab where that exceeds 1 holds no such b. The second s in
-    `num` and the one on the half-width cover the rounding of the
-    bound, of the azimuths and of the wrap at +-pi.
+    A stored b whose rounded squared chord reaches `seed` has
+    |r - b|^2 <= seed + s, so r.b >= 1 - (seed + s) / 2 (chord^2 =
+    2 - 2 r.b; s covers the lengths) and rho_r rho_b cos(dphi) >= num.
+    When num <= 0 the whole slab is taken. Otherwise cos(dphi) >=
+    num / (rho_r rho_max), and a slab where that exceeds 1, or where
+    rho_r rho_max is 0 (a request at a pole, a slab of poles), holds no
+    such b. The second s in `num` and the one on the half-width cover
+    the rounding of the bound, of the azimuths and of the wrap at +-pi.
     """
     s = _SLACK
     ends = slabs.cumsum()
     req = np.arange(phi.shape[0]).repeat(slabs)
     k = np.arange(ends[-1]) + (first - ends + slabs).repeat(slabs)
     rz, phi = rz[req], phi[req]
-    num = seed[req] - 2.0 * s - np.maximum(rz * index.z_lo[k], rz * index.z_hi[k])
-    # No double is an odd multiple of pi/2, so no rho is 0.
-    cos_min = num / (rho[req] * index.rho_max[k])
+    num = 1.0 - (seed[req] + s) / 2.0 - s - np.maximum(rz * index.z_lo[k], rz * index.z_hi[k])
+    rhos = rho[req] * index.rho_max[k]  # 0 or above _TINY**2: no overflow
+    cos_min = np.divide(num, rhos, out=np.full_like(num, 2.0), where=rhos > 0.0)
     half = np.arccos(np.maximum(np.minimum(cos_min, 1.0), -1.0)) + s
     half[cos_min > 1.0] = -1.0
     whole = num <= 0.0
@@ -202,8 +222,8 @@ def _windows(index, phi, rho, rz, seed, first, slabs):
 
 
 def _best_in_runs(index, rx, ry, rz, starts, lengths, slabs):
-    """Per request, the lowest stored index that attains the largest dot
-    product over its runs of sorted positions: the runs of `slabs[i]`
+    """Per request, the lowest stored index that attains the smallest
+    squared chord over its runs of sorted positions: the runs of `slabs[i]`
     rows of (starts, lengths), after those of the requests before it.
 
     The runs are one ragged batch, cut into chunks of about
@@ -218,37 +238,14 @@ def _best_in_runs(index, rx, ry, rz, starts, lengths, slabs):
         heads = cnt.cumsum() - cnt
         offsets = length.cumsum() - length
         pos = np.arange(heads[-1] + cnt[-1]) + (starts[r].ravel() - offsets).repeat(length)
-        dots = rx[c].repeat(cnt) * index.x.take(pos)
-        dots += ry[c].repeat(cnt) * index.y.take(pos)
-        dots += rz[c].repeat(cnt) * index.z.take(pos)
-        best = np.maximum.reduceat(dots, heads)
-        # Every request attains its maximum at least once.
-        hits = (dots == best.repeat(cnt)).nonzero()[0]
+        chords = _chords(rx[c].repeat(cnt), ry[c].repeat(cnt), rz[c].repeat(cnt), index, pos)
+        best = np.minimum.reduceat(chords, heads)
+        # Every request attains its minimum at least once.
+        hits = (chords == best.repeat(cnt)).nonzero()[0]
         arg[c] = np.minimum.reduceat(
             index.order.take(pos.take(hits)), hits.searchsorted(heads)
         )
     return arg
-
-
-def crowded_directions(azimuth_deg, elevation_deg):
-    """Mask of the directions that have another one within _CROWDED_CHORD.
-
-    For any other direction the search's rounding cannot tie with the
-    exact match, so a request equal to an uncrowded direction is served
-    by that direction. Conservative: directions a few chords apart may
-    be flagged too. Two points closer than one chord in every axis share
-    a cell of width two chords in one of the eight half-shifted grids.
-    """
-    units = np.stack(_unit_vectors(azimuth_deg, elevation_deg), axis=1)
-    scaled = units / _CROWDED_CHORD
-    crowded = np.zeros(units.shape[0], dtype=bool)
-    for shift in itertools.product((0.0, 1.0), repeat=3):
-        # Cell numbers lie in (-2**19, 2**19); offset, they pack into 21 bits each.
-        cells = np.floor((scaled + shift) / 2.0).astype(np.int64) + (1 << 20)
-        keys = (cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2]
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        crowded |= counts[inverse] > 1
-    return crowded
 
 
 def nearest_value(base, req):

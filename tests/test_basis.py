@@ -477,8 +477,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_fits_and_diffs_build_the_crowded_mask_and_index_once(monkeypatch):
-    masks = _count_calls(monkeypatch, "crowded_directions")
+def test_fits_and_diffs_build_the_index_once(monkeypatch):
     builds = _count_calls(monkeypatch, "direction_index")
     raw = _polar_grid_raw(SEED + 50)
     sds = []
@@ -493,9 +492,8 @@ def test_fits_and_diffs_build_the_crowded_mask_and_index_once(monkeypatch):
         sds.append(DirectivityDiff("", raw, model, grid).compute_sd())
         DirectivityDiff("", raw, model, grid, DataType.LINEAR_MAGNITUDE).compute_mse()
         model.balloon_grid(1000.0 * order, 2.0)
-    # One mask and one index over the 48 stored directions, built on the
-    # first fit's read at the source's own tuple.
-    assert masks == [48]
+    # One index over the 48 stored directions, built on the first fit's
+    # read at the source's own tuple.
     assert builds == [48]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))
 
@@ -553,7 +551,6 @@ def test_diffs_on_a_pole_grid_build_no_second_index(monkeypatch):
     # The 5 degree grid stores the zenith 72 times, so the read at the
     # stored tuple moves rows and the diff holds a second tuple; its
     # balloon reads at that tuple through the preset self-read.
-    masks = _count_calls(monkeypatch, "crowded_directions")
     builds = _count_calls(monkeypatch, "direction_index")
     raw = synth_test_set(
         SynthSpec(
@@ -571,7 +568,6 @@ def test_diffs_on_a_pole_grid_build_no_second_index(monkeypatch):
         assert diff.coords.directions is not raw.coords.directions
         balloon = diff.balloon_grid(1000.0)
         assert len(balloon.values) == 1944
-    assert masks == [1944]
     assert builds == [1944]
 
 

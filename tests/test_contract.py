@@ -1,5 +1,7 @@
 """Conformance of every representation to the shared read contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from dirkit import (
     fit_basis_model,
     synth_test_set,
 )
+from dirkit.diff import HORIZONTAL_TOL_DEG
 
 SEED = 20240813
 
@@ -297,6 +300,73 @@ def test_matrix_reads_are_c_contiguous(contiguity_objects, kind, datatype, reque
     assert volume.values.flags["C_CONTIGUOUS"]
 
 
+@st.composite
+def _requests_around(draw, at):
+    """A discrete request: some of the directions, frequencies and distances
+    of `at`, and drawn ones anywhere."""
+    anywhere = st.tuples(st.floats(min_value=-720.0, max_value=720.0),
+                         st.floats(min_value=-90.0, max_value=90.0))
+    stored = st.sampled_from(at.directions).map(lambda d: (d.azimuth, d.elevation))
+    pairs = draw(st.lists(stored | anywhere, min_size=1, max_size=6))
+    directions = list({(d.azimuth, d.elevation): d
+                       for d in (Direction(az, el) for az, el in pairs)}.values())
+    frequencies = draw(st.lists(st.sampled_from(at.frequencies)
+                                | st.floats(min_value=0.0, max_value=30000.0),
+                                min_size=1, max_size=4))
+    distances = draw(st.lists(st.sampled_from(at.distances)
+                              | st.floats(min_value=0.1, max_value=3.0),
+                              min_size=1, max_size=3))
+    return CoordinateSet(directions=directions, frequencies=sorted(set(frequencies)),
+                         distances=sorted(set(distances)))
+
+
+@pytest.mark.parametrize("kind", ["raw", "model", "diff"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_matrix_read_is_c_contiguous(contiguity_objects, kind, data):
+    raw, model, diffs, at = contiguity_objects
+    request = data.draw(_requests_around(at))
+    for case_kind, datatype in CONTIGUITY_CASES:
+        if case_kind == kind:
+            obj = {"raw": raw, "model": model, "diff": diffs.get(datatype)}[kind]
+            assert obj.get_data_matrix(request, datatype).values.flags["C_CONTIGUOUS"]
+
+
+# --------------------------------------------------------------------------
+# A diff of an object with itself is zero and warns nothing
+# --------------------------------------------------------------------------
+
+SELF_DIFF_CASES = (
+    [("raw", t) for t in (DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE,
+                          DataType.COMPLEX_SPECTRUM)]
+    + [("model", t) for t in (DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE)]
+    + [("diff", DataType.LOG_MAGNITUDE)]
+)
+
+
+@pytest.mark.parametrize("kind, datatype", SELF_DIFF_CASES,
+                         ids=[f"{k}-{t.value}" for k, t in SELF_DIFF_CASES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_diff_with_itself_is_zero_and_warns_nothing(contiguity_objects, kind, datatype,
+                                                       data):
+    raw, model, diffs, at = contiguity_objects
+    obj = {"raw": raw, "model": model, "diff": diffs[DataType.LOG_MAGNITUDE]}[kind]
+    request = data.draw(st.just(at) | _requests_around(at))
+    measure = "sd" if datatype is DataType.LOG_MAGNITUDE else "mse"
+    first = CoordinateSet(directions=request.directions[:1],
+                          frequencies=request.frequencies, distances=request.distances)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diff = DirectivityDiff("", obj, obj, request, datatype)
+        aggregate = diff.compute_sd if measure == "sd" else diff.compute_mse
+        errors = [aggregate(), aggregate(over=first), *diff.error_vs_frequency(measure)[1]]
+        if (np.abs(diff.coords.elevation_array) <= HORIZONTAL_TOL_DEG).any():
+            errors += list(diff.error_horizontal(measure)[1])
+    assert not diff.coordinate_warning
+    assert errors == [0.0] * len(errors)
+
+
 # --------------------------------------------------------------------------
 # Every matrix read returns a new array of its own
 # --------------------------------------------------------------------------
@@ -453,15 +523,23 @@ def coercion_requests(draw):
 
 
 def _full_scan(stored, wanted):
-    """Per wanted direction, the first stored index of the largest
-    unit-vector dot product, scanning every stored direction."""
+    """Per wanted direction, the first stored index of the smallest squared
+    chord between unit vectors with x = y = 0 at the poles and every
+    component below 2**-480 in magnitude set to 0, scanning every stored
+    direction."""
     def units(dirs):
+        el = np.array([d.elevation for d in dirs], dtype=np.float64)
         az = np.deg2rad(np.array([d.azimuth for d in dirs], dtype=np.float64))
-        el = np.deg2rad(np.array([d.elevation for d in dirs], dtype=np.float64))
-        return np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)
+        rad, pole = np.deg2rad(el), np.abs(el) == 90.0
+        x = np.where(pole, 0.0, np.cos(rad) * np.cos(az))
+        y = np.where(pole, 0.0, np.cos(rad) * np.sin(az))
+        return [np.where(np.abs(v) < 2.0**-480, 0.0, v) for v in (x, y, np.sin(rad))]
 
     bx, by, bz = units(stored)
-    return [int(np.argmax(x * bx + y * by + z * bz)) for x, y, z in zip(*units(wanted))]
+    return [
+        int(np.argmin((x - bx) ** 2 + (y - by) ** 2 + (z - bz) ** 2))
+        for x, y, z in zip(*units(wanted))
+    ]
 
 
 @pytest.mark.parametrize("kind", ["raw", "model", "diff"])
@@ -480,9 +558,8 @@ def test_coercion_is_idempotent_and_reads_land_on_it(crowded_objects, kind, requ
     expected = first.coords.directions
     if not request.continuity.direction:
         # A request at a stored direction lands on the first stored one
-        # with the largest dot product: itself, except for a pole copy or
-        # a direction crowded with another one (see the xfail below).
-        # Here both land on an earlier row, which stays where it is.
+        # with the same search vector: itself, except for a pole copy,
+        # which lands on the first copy, which stays where it is.
         stored = obj.coords.directions
         expected = tuple(stored[i] for i in _full_scan(stored, expected))
     assert again.coords.directions == expected
@@ -490,13 +567,11 @@ def test_coercion_is_idempotent_and_reads_land_on_it(crowded_objects, kind, requ
     assert obj.coerce_onto(again.coords) == (again.coords, False)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a stored direction 1e-10 degrees from another one can snap to it: the "
-    "search's rounding ties the two, or ranks the other one above itself"))
 @pytest.mark.parametrize("pair, asked", [
-    # A request beside the pair lands on the second, which ties with the first.
+    # A request beside the pair lands on the second, which a rounded dot
+    # product would tie with the first.
     ((30.0, 0.0), (31.0, 0.0)),
-    # Each of these two reaches the other higher than itself.
+    # A rounded dot product ranks each of these two below the other.
     ((224.347, -5.22), (224.347, -5.22)),
 ])
 def test_coercion_is_idempotent_at_a_crowded_pair(pair, asked):

@@ -325,7 +325,7 @@ def test_reads_at_a_pole_land_on_its_first_stored_row():
     assert actual.directions[0] == Direction(0.0, 90.0)
 
 
-def test_reads_at_the_stored_tuple_search_only_crowded_rows(monkeypatch):
+def test_reads_at_the_stored_tuple_run_no_search(monkeypatch):
     stored = _pole_grid()
     calls = []
     original = kernels.nearest_direction
@@ -335,29 +335,31 @@ def test_reads_at_the_stored_tuple_search_only_crowded_rows(monkeypatch):
         lambda *args: calls.append(len(args[2])) or original(*args),
     )
     d_idx, _, _, _ = discrete_read_indices(stored, stored)
-    # Only the 36 copies of each pole are crowded.
-    assert calls == [72]
+    # The 36 copies of each pole land on the first one, found by a sort.
+    assert calls == []
     assert list(d_idx) == [0] * 36 + list(range(36, 648)) + [648] * 36
     equal = CoordinateSet(directions=list(stored.directions), frequencies=(100.0,))
     discrete_read_indices(stored, equal)
-    assert calls == [72, 684]
+    assert calls == [684]
     off_grid = CoordinateSet(
         directions=list(stored.directions[:5]) + [(3.0, 4.0)], frequencies=(100.0,)
     )
     d_idx, _, _, _ = discrete_read_indices(stored, off_grid)
-    assert calls == [72, 684, 6]
+    assert calls == [684, 6]
     assert list(d_idx) == [0, 0, 0, 0, 0, stored.directions.index(Direction(0.0, 0.0))]
 
 
 def test_crowded_directions_keep_the_search_answer():
-    # Closer than the search's rounding can tell apart: the first one wins,
-    # also for a request at the second, as in the search.
+    # Two directions 1e-10 degrees apart: each one finds itself, at the
+    # stored tuple and at another one.
     stored = CoordinateSet(
         directions=[(0.0, 0.0), (1e-10, 0.0), (90.0, 0.0)], frequencies=(100.0,)
     )
     requested = CoordinateSet(directions=[(1e-10, 0.0), (90.0, 0.0)], frequencies=(100.0,))
     d_idx, _, _, _ = discrete_read_indices(stored, requested)
-    assert list(d_idx) == [0, 2]
+    assert list(d_idx) == [1, 2]
+    d_idx, _, _, actual = discrete_read_indices(stored, stored)
+    assert list(d_idx) == [0, 1, 2] and actual.directions is stored.directions
 
 
 def test_direction_arrays_are_fresh_copies():
@@ -442,15 +444,17 @@ def test_a_read_at_an_equal_tuple_lands_where_one_at_the_stored_tuple_does(monke
     own = CoordinateSet(directions=stored.directions, frequencies=(100.0,))
     equal = CoordinateSet(directions=list(stored.directions), frequencies=(100.0,))
     calls = []
-    original = kernels.crowded_directions
+    original = kernels.nearest_direction
     monkeypatch.setattr(
-        kernels, "crowded_directions", lambda *a: calls.append(1) or original(*a)
+        kernels,
+        "nearest_direction",
+        lambda *args: calls.append(len(args[2])) or original(*args),
     )
     d_own, _, _, actual_own = discrete_read_indices(stored, own)
     d_equal, _, _, actual_equal = discrete_read_indices(stored, equal)
-    # Only the stored tuple takes the cached self-read and its crowded mask;
-    # the equal tuple is searched in full.
-    assert calls == [1]
+    # Only the stored tuple takes the cached self-read, which runs no
+    # search; the equal tuple is searched in full.
+    assert calls == [684]
     assert d_own is stored.directions.self_snap[0]
     assert d_equal is not d_own
     assert np.array_equal(d_own, d_equal)

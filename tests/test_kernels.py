@@ -78,7 +78,7 @@ def test_nearest_direction_empty_base_rejected():
 
 
 def test_nearest_direction_memory_stays_bounded():
-    # A full 4000 x 4000 dot-product matrix would take 128 MB per temporary.
+    # A full 4000 x 4000 chord matrix would take 128 MB per temporary.
     rng = np.random.default_rng(SEED + 4)
     base_az, base_el = _random_directions(rng, 4000)
     req_az, req_el = _random_directions(rng, 4000)
@@ -91,11 +91,15 @@ def test_nearest_direction_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
-def _first_largest_dot(base_az, base_el, req_az, req_el):
-    """The full scan: first index of the largest dot product, per request."""
-    bx, by, bz = kernels._unit_vectors(base_az, base_el)
-    rx, ry, rz = kernels._unit_vectors(req_az, req_el)
-    return [int(np.argmax(x * bx + y * by + z * bz)) for x, y, z in zip(rx, ry, rz)]
+def _first_smallest_chord(base_az, base_el, req_az, req_el):
+    """The full scan: first index of the smallest squared chord between
+    search vectors, per request."""
+    bx, by, bz = kernels._search_vectors(base_az, base_el)
+    rx, ry, rz = kernels._search_vectors(req_az, req_el)
+    return [
+        int(np.argmin((x - bx) ** 2 + (y - by) ** 2 + (z - bz) ** 2))
+        for x, y, z in zip(rx, ry, rz)
+    ]
 
 
 def _spy_compared(monkeypatch):
@@ -136,7 +140,7 @@ def test_nearest_direction_memory_stays_bounded_when_bands_span_the_set(monkeypa
     assert len(log) == 4000
     assert {slabs for slabs, _ in log} == {len(index.starts) - 1}
     assert {compared for _, compared in log} == {index.starts[1]}
-    assert got.tolist() == _first_largest_dot(base_az, base_el, req_az, req_el)
+    assert got.tolist() == _first_smallest_chord(base_az, base_el, req_az, req_el)
 
 
 def _grid(step, floor):
@@ -157,7 +161,7 @@ def test_requests_far_below_a_grid_compare_one_window_per_ring(monkeypatch):
     got = nearest_direction(direction_index(base_az, base_el), req_az, req_el)
     assert max(compared for _, compared in log) <= 300
     assert max(slabs for slabs, _ in log) > 10
-    assert got.tolist() == _first_largest_dot(base_az, base_el, req_az, req_el)
+    assert got.tolist() == _first_smallest_chord(base_az, base_el, req_az, req_el)
 
 
 def test_a_read_at_a_separate_band_of_stored_directions_compares_few(monkeypatch):

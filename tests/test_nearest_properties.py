@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirkit import kernels
-from dirkit.coords import CoordinateSet, Direction, _as_directions, discrete_read_indices
+from dirkit.coords import (
+    CoordinateSet,
+    Direction,
+    _as_directions,
+    coerce,
+    discrete_read_indices,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -24,19 +30,24 @@ elevations = st.one_of(
 directions = st.tuples(azimuths, elevations)
 
 
-def _direction_oracle(base_az, base_el, req_az, req_el):
-    """First index of the largest unit-vector dot product, one pair at a time."""
-    def units(az, el):
-        az = np.deg2rad(np.asarray(az, dtype=np.float64))
-        el = np.deg2rad(np.asarray(el, dtype=np.float64))
-        return np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)
+def _search_units(az, el):
+    """Unit vectors with x = y = 0 at the poles and every component below
+    2**-480 in magnitude set to 0, as the search ranks them."""
+    el = np.asarray(el, dtype=np.float64)
+    az, rad = np.deg2rad(np.asarray(az, dtype=np.float64)), np.deg2rad(el)
+    x, y, z = np.cos(rad) * np.cos(az), np.cos(rad) * np.sin(az), np.sin(rad)
+    pole = np.abs(el) == 90.0
+    x, y = np.where(pole, 0.0, x), np.where(pole, 0.0, y)
+    return tuple(np.where(np.abs(v) < 2.0**-480, 0.0, v) for v in (x, y, z))
 
-    bx, by, bz = units(base_az, base_el)
-    rx, ry, rz = units(req_az, req_el)
+
+def _direction_oracle(base_az, base_el, req_az, req_el):
+    """First index of the smallest squared chord, one pair at a time."""
+    bx, by, bz = _search_units(base_az, base_el)
     out = []
-    for x, y, z in zip(rx, ry, rz):
-        dots = x * bx + y * by + z * bz
-        out.append(int(np.argmax(dots)))
+    for x, y, z in zip(*_search_units(req_az, req_el)):
+        chords = (x - bx) ** 2 + (y - by) ** 2 + (z - bz) ** 2
+        out.append(int(np.argmin(chords)))
     return out
 
 
@@ -265,7 +276,8 @@ def test_reads_at_a_grid_with_pole_duplicates_match_oracle(
 
 # A 72-row zenith ring and a nadir ring (each one point stored 72 times),
 # two directions 1e-10 deg apart, and the zenith stored once more at
-# another azimuth: every one of them is crowded.
+# another azimuth: each pole copy lands on the first copy, and each
+# direction of the pair on itself.
 _RINGS = (
     [(5.0 * i, 90.0) for i in range(72)]
     + [(5.0 * i, -90.0) for i in range(72)]
@@ -304,10 +316,10 @@ def test_reads_at_own_directions_match_brute_force(extra, shuffle):
         assert d_idx.tolist() == _direction_oracle(az, el, req_az, req_el)
 
 
-# Pairs 1e-10 degrees apart. In the search's rounding a request at the
-# first of (30, 10) ties with the second, one at the first of
-# (328.592, -23.092) reaches the second higher than itself, and requests
-# at either of (224.347, -5.22) reach the other one higher than themselves.
+# Pairs 1e-10 degrees apart that a rounded dot product cannot tell apart:
+# for a request at the first of (30, 10) it ties the second with it, at
+# the first of (328.592, -23.092) it ranks the second higher, and at
+# either of (224.347, -5.22) it ranks the other one higher.
 CROWDED_PAIRS = [
     [(az, el), (az + 1e-10, el)]
     for az, el in ((30.0, 10.0), (328.592, -23.092), (224.347, -5.22))
@@ -335,9 +347,59 @@ def test_the_preset_self_read_of_moved_directions_matches_a_fresh_one(
     fresh = _as_directions(tuple(moved))
     assert moved.azimuths.tobytes() == fresh.azimuths.tobytes()
     assert moved.elevations.tobytes() == fresh.elevations.tobytes()
-    if not (near or extra):
-        assert vars(moved)["self_snap"] == (idx, moved)
+    assert vars(moved)["self_snap"] == (idx, moved)
     moved_idx, moved_dirs = moved.self_snap
     fresh_idx, fresh_dirs = fresh.self_snap
     assert moved_idx.tolist() == fresh_idx.tolist()
     assert moved_dirs == fresh_dirs
+
+
+# Elevations 0, t and 2t for t = 1.4e-162 rad: without the flush of
+# components below 2**-480, their squared chords round to 0, 0 and 1e-323.
+_T = float(np.rad2deg(1.4e-162))
+
+
+@st.composite
+def equal_vector_sets(draw):
+    """Stored directions that a search could tell apart only by rounding:
+    crowded pairs, pole copies, and pairs whose search vectors differ only
+    in a component below 2**-480, among free ones."""
+    crowded = draw(st.lists(st.sampled_from(CROWDED_PAIRS), max_size=3))
+    pairs = [d for pair in crowded for d in pair]
+    for pole in draw(st.lists(st.sampled_from([90.0, -90.0]), max_size=2)):
+        pairs += [(az, pole) for az in draw(st.lists(azimuths, min_size=1, max_size=4))]
+    for az in draw(st.lists(azimuths, max_size=2)):
+        pairs += [(az, 0.0), (az, 1e-300)]
+    for el in draw(st.lists(elevations, max_size=2)):
+        pairs += [(0.0, el), (5e-324, el)]
+    if draw(st.booleans()):
+        az = draw(azimuths)
+        pairs += [(az, 0.0), (az, _T), (az, 2.0 * _T)]
+    stored = _unique_directions(pairs + draw(st.lists(directions, min_size=1, max_size=5)))
+    draw(st.randoms(use_true_random=False)).shuffle(stored)
+    return stored
+
+
+@PROPERTY
+@given(stored_dirs=equal_vector_sets(), free=st.lists(directions, max_size=5))
+def test_every_stored_direction_reads_back_at_its_first_equal_vector(stored_dirs, free):
+    stored = CoordinateSet(directions=stored_dirs, frequencies=(100.0,))
+    vectors = list(zip(*_search_units(stored.azimuth_array, stored.elevation_array)))
+    first = [vectors.index(v) for v in vectors]
+    rebuilt = CoordinateSet(
+        directions=[(d.azimuth, d.elevation) for d in stored_dirs], frequencies=(100.0,)
+    )
+    for request in (stored, rebuilt):
+        d_idx, _, _, actual = discrete_read_indices(stored, request)
+        assert d_idx.tolist() == first
+        assert actual.directions == tuple(stored_dirs[i] for i in first)
+    # Each of those first rows reads back at itself.
+    heads = sorted(set(first))
+    request = CoordinateSet(directions=[stored_dirs[i] for i in heads], frequencies=(100.0,))
+    assert discrete_read_indices(stored, request)[0].tolist() == heads
+    # Coercing twice changes nothing, at stored directions and anywhere.
+    near = [(d.azimuth, d.elevation) for d in stored_dirs[:3]]
+    anywhere = CoordinateSet(directions=_unique_directions(free + near), frequencies=(100.0,))
+    for request in (stored, rebuilt, anywhere):
+        once = coerce(stored, request).coords
+        assert coerce(stored, once) == (once, False)

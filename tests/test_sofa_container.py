@@ -7,7 +7,7 @@
 import numpy as np
 import pytest
 
-from dirkit import RawIRs
+from dirkit import RawIRs, read_dird, write_dird
 from dirkit.errors import SofaError
 from dirkit.sofa import _read_container
 
@@ -49,6 +49,7 @@ def container(
     pos_type="spherical",
     pos_units="degree, degree, metre",
     title="synthetic set",
+    database=None,
 ):
     """The variables and attributes a SimpleFreeFieldHRIR file holds; an
     attribute given as None is left out."""
@@ -63,7 +64,9 @@ def container(
         variables["Data.SamplingRate"] = Dataset(
             np.atleast_1d(np.asarray(rate, dtype=np.float64)), _attrs(Units=rate_units)
         )
-    return Group(variables, _attrs(SOFAConventions=convention, Title=title))
+    return Group(
+        variables, _attrs(SOFAConventions=convention, Title=title, DatabaseName=database)
+    )
 
 
 def _valid():
@@ -86,6 +89,42 @@ def test_one_rawirs_per_receiver():
         dirs = [(d.azimuth, d.elevation) for d in raw.coords.directions]
         assert dirs == [(0.0, 0.0), (90.0, 0.0), (270.0, 30.0)]
         np.testing.assert_array_equal(raw.irs[:, :, 0], irs[:, receiver, :])
+
+
+def test_negative_azimuth_wraps():
+    (raw,) = _read_container(PATH, container(np.ones((1, 1, 4)), [(-10.0, -5.0, 2.5)]))
+    assert raw.coords.directions[0].azimuth == 350.0
+    assert raw.coords.directions[0].elevation == -5.0
+    assert raw.coords.distances == (2.5,)
+
+
+def test_multi_distance_rows_are_factored_into_one_grid():
+    irs = np.random.default_rng(20240820).normal(size=(4, 1, 4))
+    # Rows interleave the two distances.
+    positions = [(0.0, 0.0, 2.0), (90.0, 0.0, 1.0), (0.0, 0.0, 1.0), (90.0, 0.0, 2.0)]
+    (raw,) = _read_container(PATH, container(irs, positions))
+    assert raw.coords.distances == (1.0, 2.0)
+    dirs = [(d.azimuth, d.elevation) for d in raw.coords.directions]
+    assert dirs == [(90.0, 0.0), (0.0, 0.0)]
+    # (90, 0) was measured in rows 1 (1 m) and 3 (2 m), (0, 0) in rows 2 and 0.
+    for (d, r), row in {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 1): 0}.items():
+        np.testing.assert_array_equal(raw.irs[d, :, r], irs[row, 0, :])
+
+
+def test_database_name_is_the_title_fallback():
+    handle = container(title=None, database="measurement db", **_valid())
+    assert _read_container(PATH, handle)[0].info == "measurement db (receiver 0)"
+
+
+def test_round_trip_through_dird(tmp_path):
+    irs = np.random.default_rng(20240821).normal(size=(3, 2, 16))
+    positions = [(0.0, 0.0, 1.0), (120.0, 15.0, 1.0), (240.0, -15.0, 1.0)]
+    raw = _read_container(PATH, container(irs, positions, rate=44100.0))[1]
+    write_dird(raw, tmp_path / "receiver1.dird")
+    again = read_dird(tmp_path / "receiver1.dird")
+    assert again.sample_rate == 44100.0
+    assert again.coords.directions == raw.coords.directions
+    np.testing.assert_array_equal(again.irs, raw.irs)
 
 
 def test_bytes_and_mixed_case_attributes_are_accepted():
@@ -132,6 +171,19 @@ REJECTED = {
     "position columns": (
         {"positions": [(0.0, 0.0), (90.0, 0.0)]},
         r"SourcePosition shape \(2, 2\) is not"),
+    "duplicate directions": (
+        {"positions": [(0.0, 0.0, 1.0), (360.0, 0.0, 1.0)]}, "duplicate direction"),
+    "non-positive distance": (
+        {"positions": [(0.0, 0.0, 0.0), (90.0, 0.0, 1.0)]},
+        "non-positive source distance"),
+    "unequal grids across distances": (
+        {"irs": np.ones((3, 1, 4)),
+         "positions": [(0.0, 0.0, 1.0), (90.0, 0.0, 1.0), (0.0, 0.0, 2.0)]},
+        "direction grids differ across distances"),
+    "mismatched directions across distances": (
+        {"irs": np.ones((4, 1, 4)),
+         "positions": [(0.0, 0.0, 1.0), (90.0, 0.0, 1.0), (0.0, 0.0, 2.0), (45.0, 0.0, 2.0)]},
+        "missing at distance"),
 }
 
 

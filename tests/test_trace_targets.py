@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import dirkit
-from dirkit import kernels
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,7 +73,7 @@ def test_direction_queries_count_the_requests_off_the_stored_tuple():
         directions=stored, frequencies=(1000.0,), distances=raw.coords.distances
     )
     # The zenith is stored once per azimuth.
-    assert kernels.crowded_directions(stored.azimuths, stored.elevations).sum() == 12
+    assert (stored.elevations == 90.0).sum() == 12
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -83,5 +82,5 @@ def test_direction_queries_count_the_requests_off_the_stored_tuple():
     finally:
         tracer.uninstall()
     # Every direction of another tuple is searched, stored ones too; a read
-    # at the stored tuple searches only its crowded directions.
-    assert tracer.metrics()["kernels.nearest_direction.queries"][0] == 5 + 12
+    # at the stored tuple searches none, its zenith copies included.
+    assert tracer.metrics()["kernels.nearest_direction.queries"][0] == 5
