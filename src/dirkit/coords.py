@@ -123,9 +123,10 @@ class _Directions(Sequence):
         an empty list is rejected.
         """
         index = self.search_index
+        x, y, z = index.vectors
         # Equal vectors next to each other, the lowest stored row first.
-        by = np.lexsort((index.order, index.z, index.y, index.x))
-        rows, vectors = index.order[by], np.stack((index.x, index.y, index.z))[:, by]
+        by = np.lexsort((index.order, z, y, x))
+        rows, vectors = index.order[by], index.vectors[:, by]
         new = np.append(True, (vectors[:, 1:] != vectors[:, :-1]).any(axis=0))
         idx = np.empty_like(rows)
         idx[rows] = rows[new][new.cumsum() - 1]
@@ -354,12 +355,18 @@ def _snap_directions(base, requested):
     return idx, _Directions(stored.pairs.take(idx, axis=0))
 
 
-def _snap_values(base, base_continuous, req):
+def _snap_values(base, base_continuous, req, ascending=False):
     """(indices, values) of requested values on stored ones: the nearest
     stored ones, or, with no indices (None), the requested ones clamped
-    into continuous limits. The values come back as a float64 array."""
+    into continuous limits. The values come back as a float64 array.
+
+    When the stored values are known to ascend strictly (`ascending`), a
+    request of the non-empty stored array itself lands on it, as a
+    search would."""
     if base_continuous:
         return None, np.clip(req, base[0], base[1])
+    if ascending and req is base and base.shape[0]:
+        return np.arange(base.shape[0]), base
     idx = kernels.nearest_value(base, req)
     return idx, base.take(idx)
 
@@ -416,8 +423,11 @@ def discrete_read_indices(stored, requested):
             f"spectrum_series or balloon_grid for a sampled read)"
         )
     d_idx, dirs = _snap_directions(stored, requested)
-    (f_idx, freqs), (r_idx, dists) = map(
-        _snap_values, stored._values, stored.continuity[1:], requested._values
+    (f_idx, freqs), (r_idx, dists) = (
+        _snap_values(base, continuous, req, stored._validated)
+        for base, continuous, req in zip(
+            stored._values, stored.continuity[1:], requested._values
+        )
     )
     actual = CoordinateSet._unchecked(dirs, freqs, dists, DISCRETE)
     return d_idx, f_idx, r_idx, actual

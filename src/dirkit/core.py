@@ -14,7 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coords import CoordinateSet, _Directions, _check_value, coerce
+from .coords import (
+    CoordinateSet,
+    _ascending,
+    _as_directions,
+    _check_value,
+    _Directions,
+    coerce,
+)
 from .errors import UnsupportedDatatypeError
 
 DB_FLOOR = -300.0
@@ -234,15 +241,18 @@ class Directivity(ABC):
         """
         if not datatype.is_spectral:
             raise ValueError("spectrum_series needs a spectral datatype")
+        distance = float(distance)
+        # Checked as a CoordinateSet would check them; the stored bins are
+        # checked already, and a read of them lands on them.
+        dirs = _as_directions((direction,))
         if self.coords.continuity.frequency:
             lo, hi = self.coords.frequencies
             lo = SERIES_MIN_HZ if lo == 0.0 else lo
-            freqs = np.geomspace(lo, hi, SERIES_SAMPLES)
+            freqs = _ascending(np.geomspace(lo, hi, SERIES_SAMPLES), "frequency", 0.0, False)
         else:
-            freqs = self.coords.frequency_array
-        requested = CoordinateSet(
-            directions=(direction,), frequencies=freqs, distances=(float(distance),)
-        )
+            freqs = self.coords._values[0]
+        _check_value(distance, "distance", 0.0, strict_min=True)
+        requested = CoordinateSet._unchecked(dirs, freqs, (distance,))
         volume = self.get_data_matrix(requested, datatype)
         return SpectrumSeries(
             volume.coords.frequency_array, volume.values[0, :, 0], volume.coords

@@ -27,25 +27,52 @@ def _unit_vectors(azimuth_deg, elevation_deg):
 # components differ by at least 2**-532, whose square is not 0.
 _TINY = 2.0**-480
 
+# Bounds the rounding of a squared chord and of a unit vector's length.
+_SLACK = 1e-12
+
+# Key span of one slab; any azimuth in [-pi, pi] fits with room to spare.
+_SLAB_SPAN = 8.0
+
+# The search's scalars as 0-d arrays, which numpy applies faster than
+# Python floats; the values are the same.
+_C = {
+    name: np.array(value)
+    for name, value in dict(
+        tiny=_TINY, pole=90.0, slack=_SLACK, span=_SLAB_SPAN, one=1.0, two=2.0,
+        minus_one=-1.0, zero=0.0, rho_floor=_TINY**2, pi=np.pi, inf=np.inf,
+    ).items()
+}
+
 
 def _search_vectors(azimuth_deg, elevation_deg):
-    """Unit vectors as the direction search ranks them: x = y = 0 where
-    |elevation| = 90, so the copies of a pole are one point, and every
-    component below _TINY is 0. So the squared chord of two is 0 exactly
-    when they are equal, and a horizontal length is 0 or above _TINY."""
-    el = np.asarray(elevation_deg, dtype=np.float64)
-    x, y, z = _unit_vectors(azimuth_deg, el)
-    pole = np.abs(el) == 90.0
-    x[pole] = y[pole] = 0.0
-    for v in (x, y, z):
-        v[np.abs(v) < _TINY] = 0.0
-    return x, y, z
+    """Unit vectors as the direction search ranks them, as a (3, n) array
+    of rows x, y and z: x = y = 0 where |elevation| = 90, so the copies
+    of a pole are one point, and every component below _TINY is 0. So
+    the squared chord of two is 0 exactly when they are equal, and a
+    horizontal length is 0 or above _TINY."""
+    angles = np.array((azimuth_deg, elevation_deg), dtype=np.float64)
+    if np.count_nonzero(np.isfinite(angles)) < angles.size:
+        raise ValueError("cannot search for a non-finite direction")
+    rad = np.deg2rad(angles)
+    # Rows cos(az), sin(az), sin(el), cos(el); cos(el) is 0 at the poles,
+    # and the flush turns the x = y = -0 that gives into 0.
+    trig = np.empty((4, rad.shape[1]))
+    np.cos(rad, out=trig[::3])
+    np.sin(rad, out=trig[1:3])
+    np.putmask(trig[3], np.abs(angles[1]) == _C["pole"], 0.0)
+    trig[:2] *= trig[3]
+    vectors = trig[:3]
+    np.putmask(vectors, np.abs(vectors) < _C["tiny"], 0.0)
+    return vectors
 
 
-def _chords(rx, ry, rz, index, pos):
-    """Squared chords from (rx, ry, rz) to the stored positions `pos`."""
-    x, y, z = index.x.take(pos), index.y.take(pos), index.z.take(pos)
-    return (rx - x) ** 2 + (ry - y) ** 2 + (rz - z) ** 2
+def _chords(index, req, pos):
+    """Squared chords from the request vectors `req` to the stored
+    positions `pos`, `req` shaped to broadcast against (3,) + pos.shape."""
+    d = index.vectors.take(pos, axis=1)
+    d -= req
+    d *= d
+    return d[0] + d[1] + d[2]
 
 
 # Each search chunk gathers about this many (request, candidate) pairs,
@@ -57,40 +84,38 @@ _CHUNK_ELEMENTS = 1 << 14
 # smallest squared chord seeds the search.
 _SEED_WIDTH = 16
 
-# Bounds the rounding of a squared chord and of a unit vector's length.
-_SLACK = 1e-12
-
-# Key span of one slab; any azimuth in [-pi, pi] fits with room to spare.
-_SLAB_SPAN = 8.0
-
 
 class DirectionIndex(NamedTuple):
     """Stored search vectors cut into z slabs, for nearest_direction.
 
     A slab is a run of about sqrt(n) z-sorted stored directions that
     never splits a ring of equal z; its positions run from `starts[k]`
-    to `starts[k + 1]`, sorted by azimuth atan2(y, x). `order` maps a
-    position to its stored index, and `keys` is the slab number times
-    _SLAB_SPAN plus the azimuth, ascending over all positions. `z_lo`,
-    `z_hi` and `rho_max` are each slab's smallest and largest z and
-    largest horizontal length sqrt(x^2 + y^2).
+    to `starts[k + 1]`, sorted by azimuth atan2(y, x). `vectors` holds
+    the x, y and z rows of the positions, `order` their stored indices
+    and `ties` those indices times 1j. `keys` is the slab number times
+    _SLAB_SPAN plus the azimuth, ascending over all positions. `z_lo`
+    and `z_hi` are each slab's smallest and largest z. Column k of
+    `slabs` is what _windows reads of slab k: k * _SLAB_SPAN, z_lo, z_hi
+    and rho_max, the largest horizontal length sqrt(x^2 + y^2); column k
+    of `bounds` is starts[k] and starts[k + 1].
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    vectors: np.ndarray
     order: np.ndarray
+    ties: np.ndarray
     keys: np.ndarray
     starts: np.ndarray
     z_lo: np.ndarray
     z_hi: np.ndarray
-    rho_max: np.ndarray
+    slabs: np.ndarray
+    bounds: np.ndarray
 
 
 def direction_index(azimuth_deg, elevation_deg):
     """Build the search index of a stored direction list."""
-    x, y, z = _search_vectors(azimuth_deg, elevation_deg)
-    n = x.shape[0]
+    vectors = _search_vectors(azimuth_deg, elevation_deg)
+    x, y, z = vectors
+    n = z.shape[0]
     if n == 0:
         raise ValueError("cannot search an empty direction list")
     by_z = np.argsort(z, kind="stable")
@@ -106,17 +131,19 @@ def direction_index(azimuth_deg, elevation_deg):
     phi = np.arctan2(y, x)[by_z]
     within = np.lexsort((phi, slab))
     order = by_z[within]
-    rho = np.hypot(x, y)
+    z_lo, z_hi = zs[starts[:-1]], zs[starts[1:] - 1]
+    rho_max = np.maximum.reduceat(np.hypot(x, y)[order], starts[:-1])
+    base = np.arange(starts.shape[0] - 1) * _SLAB_SPAN
     return DirectionIndex(
-        x[order],
-        y[order],
-        z[order],
+        vectors.take(order, axis=1),
         order,
+        order * 1j,
         slab * _SLAB_SPAN + phi[within],
         starts,
-        zs[starts[:-1]],
-        zs[starts[1:] - 1],
-        np.maximum.reduceat(rho[order], starts[:-1]),
+        z_lo,
+        z_hi,
+        np.stack((base, z_lo, z_hi, rho_max)),
+        np.stack((starts[:-1], starts[1:])),
     )
 
 
@@ -133,128 +160,189 @@ def nearest_direction(index, req_az, req_el):
     then one azimuth range per ring, as in HEALPix's query_disc (Gorski
     et al. 2005). Both passes evaluate _chords, as a full scan would, so
     the index is the one a full scan gives, ties to the lowest index.
+
+    A small batch costs a fixed number of numpy calls, about a hundred:
+    each pass gathers its candidates' vectors with one `take`, and what
+    a step needs of a request or a slab is one row of one array.
     """
-    req_az = np.asarray(req_az, dtype=np.float64)
-    if not (np.isfinite(req_az).all() and np.isfinite(req_el).all()):
-        raise ValueError("cannot search for a non-finite direction")
-    rx, ry, rz = _search_vectors(req_az, req_el)
-    phi, rho = np.arctan2(ry, rx), np.hypot(rx, ry)
-    n, q = index.order.shape[0], rx.shape[0]
-    width = min(_SEED_WIDTH, n)
+    req = _search_vectors(req_az, req_el)
+    x, y, z = req
+    q, n = z.shape[0], index.order.shape[0]
+    if q == 0:
+        return np.empty(0, dtype=np.int64)
+    # Per request, what _windows reads: z twice, rho, c (set below), phi.
+    table = np.empty((5, q))
+    table[:2] = z
+    np.hypot(x, y, out=table[2])
+    phi = np.arctan2(y, x, out=table[4])
     # The seed window sits at the request's azimuth in the highest slab
-    # whose lowest z is at or below the request's, or in the first slab.
-    slab = np.maximum(index.z_lo.searchsorted(rz, side="right") - 1, 0)
-    at = index.keys.searchsorted(slab * _SLAB_SPAN + phi)
-    first = np.clip(at - width // 2, 0, n - width)
-    seed = np.empty(q, dtype=np.float64)
+    # whose lowest z is at or below the request's, or in the first slab;
+    # searching the keys without their ends clips it into the positions.
+    width = min(_SEED_WIDTH, n)
+    slab = index.z_lo[1:].searchsorted(z, "right")
+    first = index.keys[width // 2 : n - width + width // 2].searchsorted(
+        slab * _C["span"] + phi
+    )
+    seed = np.empty(q)
+    window = np.arange(width)[:, None]
     step = max(1, _CHUNK_ELEMENTS // width)
     for a in range(0, q, step):
-        pos = first[a : a + step, None] + np.arange(width)
         r = slice(a, a + step)
-        seed[r] = _chords(rx[r, None], ry[r, None], rz[r, None], index, pos).min(axis=1)
+        chords = _chords(index, req[:, None, r], first[r] + window)
+        np.minimum.reduce(chords, axis=0, out=seed[r])
     # A stored b whose rounded chord reaches `seed` has |rz - bz| <=
     # |r - b| <= sqrt(seed + s); the outer s covers the rounding of `reach`.
-    s = _SLACK
-    reach = np.sqrt(seed + s) + s
-    lo = index.z_hi.searchsorted(rz - reach, side="left")
-    slabs = index.z_lo.searchsorted(rz + reach, side="right") - lo
+    s = _C["slack"]
+    bound = seed + s
+    reach = np.sqrt(bound) + s
+    lo = index.z_hi.searchsorted(z - reach)
+    slabs = index.z_lo.searchsorted(z + reach, "right") - lo
+    np.subtract(_C["one"] - bound / _C["two"], s, out=table[3])
+    ends = np.add.accumulate(slabs)
+    chunks = [(0, q)] if ends[-1] <= _CHUNK_ELEMENTS else _chunks(ends)
     arg = np.empty(q, dtype=np.int64)
-    for c in _chunks(slabs):
-        starts, lengths = _windows(index, phi[c], rho[c], rz[c], seed[c], lo[c], slabs[c])
-        arg[c] = _best_in_runs(index, rx[c], ry[c], rz[c], starts, lengths, slabs[c])
+    for a, b in chunks:
+        r = slice(a, b)
+        starts, lengths, kept = _windows(index, table[:, r], lo[r], slabs[r])
+        arg[r] = _best_in_runs(index, req[:, r], starts, lengths, 2 * kept)
     return arg
 
 
-def _chunks(counts):
-    """Slices of consecutive requests whose counts sum to at most
-    _CHUNK_ELEMENTS; a request with more is a chunk of its own."""
-    ends = counts.cumsum()
-    a = 0
-    while a < ends.shape[0]:
-        done = ends[a] - counts[a]
-        b = max(a + 1, int(ends.searchsorted(done + _CHUNK_ELEMENTS, side="right")))
-        yield slice(a, b)
-        a = b
+# _windows' edges phi - half and phi + half are phi plus these times half;
+# where one crosses -pi or pi, it moves back by these.
+_EDGE_SIGN = np.array([[-1.0], [1.0]])
+_EDGE_WRAP = np.array([[-2.0 * np.pi], [2.0 * np.pi]])
 
 
-def _windows(index, phi, rho, rz, seed, first, slabs):
+def _windows(index, table, first, slabs):
     """The sorted positions that can reach each request's seed in the
-    `slabs` slabs from `first`: two runs (starts, lengths) per request
-    and slab, in request order, as arrays of shape (pairs, 2).
+    `slabs` slabs from `first`: two runs per request and slab that can
+    hold such positions, in request order, as flat arrays (starts,
+    lengths), and the number of those slabs per request. `table` has
+    rows z, z, rho, c and phi of the requests, c = 1 - (seed + s)/2 - s.
 
     A stored b whose rounded squared chord reaches `seed` has
     |r - b|^2 <= seed + s, so r.b >= 1 - (seed + s) / 2 (chord^2 =
     2 - 2 r.b; s covers the lengths) and rho_r rho_b cos(dphi) >= num.
-    When num <= 0 the whole slab is taken. Otherwise cos(dphi) >=
-    num / (rho_r rho_max), and a slab where that exceeds 1, or where
-    rho_r rho_max is 0 (a request at a pole, a slab of poles), holds no
-    such b. The second s in `num` and the one on the half-width cover
-    the rounding of the bound, of the azimuths and of the wrap at +-pi.
+    A slab where num exceeds the rho product rho_r rho_max holds no such
+    b and is dropped; that covers a product of 0 (a request at a pole, a
+    slab of poles). When num <= 0 the whole slab is taken. Otherwise
+    cos(dphi) >= num / (rho_r rho_max), which bounds the window's
+    half-width. The second s in `num` and the one on the half-width
+    cover the rounding of the bound, of the azimuths and of the wrap at
+    +-pi.
+
+    A window across -pi or pi, moved back by 2 pi, is the slab's two
+    ends: the runs [lo, tail) and [head, hi), where one within [-pi, pi]
+    is [lo, hi) and [head, head).
     """
-    s = _SLACK
-    ends = slabs.cumsum()
-    req = np.arange(phi.shape[0]).repeat(slabs)
+    ends = np.add.accumulate(slabs)
     k = np.arange(ends[-1]) + (first - ends + slabs).repeat(slabs)
-    rz, phi = rz[req], phi[req]
-    num = 1.0 - (seed[req] + s) / 2.0 - s - np.maximum(rz * index.z_lo[k], rz * index.z_hi[k])
-    rhos = rho[req] * index.rho_max[k]  # 0 or above _TINY**2: no overflow
-    cos_min = np.divide(num, rhos, out=np.full_like(num, 2.0), where=rhos > 0.0)
-    half = np.arccos(np.maximum(np.minimum(cos_min, 1.0), -1.0)) + s
-    half[cos_min > 1.0] = -1.0
-    whole = num <= 0.0
-    phi[whole], half[whole] = 0.0, np.pi
-    left, right = phi - half, phi + half
-    # A window across +-pi is the slab's two ends.
-    under, over = left < -np.pi, right > np.pi
-    left += under * (2.0 * np.pi)
-    right -= over * (2.0 * np.pi)
-    wrapped = under | over
-    base = k * _SLAB_SPAN
-    lo = index.keys.searchsorted(base + left, side="left")
-    hi = index.keys.searchsorted(base + right, side="right")
-    head, tail = index.starts[k], index.starts[k + 1]
-    starts = np.empty((k.shape[0], 2), dtype=np.int64)
-    lengths = np.empty((k.shape[0], 2), dtype=np.int64)
-    starts[:, 0], starts[:, 1] = lo, head
-    lengths[:, 0] = np.maximum(hi + wrapped * (tail - hi) - lo, 0)
-    lengths[:, 1] = wrapped * (hi - head)
-    return starts, lengths
+    # Rows z, z, rho, c, phi of the request and k * _SLAB_SPAN, z_lo,
+    # z_hi, rho_max of the slab, per (request, slab) pair; the products
+    # z z_lo, z z_hi, rho rho_max and then num replace the first four.
+    pairs = np.concatenate((table.repeat(slabs, axis=1), index.slabs.take(k, axis=1)))
+    np.multiply(pairs[:3], pairs[6:], out=pairs[:3])
+    rhos, num = pairs[2], pairs[3]
+    np.subtract(num, np.maximum(pairs[0], pairs[1]), out=num)
+    keep = num <= rhos
+    kept = np.add.reduceat(keep, ends - slabs)
+    k = k.compress(keep)
+    rhos, num, phi, base = pairs[2:6].compress(keep, axis=1)
+    # rhos is 0 or above _TINY**2, so the quotient does not overflow.
+    cos_min = num / np.maximum(rhos, _C["rho_floor"])
+    half = np.arccos(np.maximum(np.minimum(cos_min, _C["one"]), _C["minus_one"]))
+    half += _C["slack"]
+    whole = num <= _C["zero"]
+    np.putmask(phi, whole, 0.0)
+    np.putmask(half, whole, np.pi)
+    edges = phi + half * _EDGE_SIGN
+    cross = edges * _EDGE_SIGN > _C["pi"]
+    np.subtract(edges, _EDGE_WRAP, out=edges, where=cross)
+    wrapped = cross[0] | cross[1]
+    edges += base
+    # The upper edge's right-side search, as a left-side one.
+    np.nextafter(edges[1], _C["inf"], out=edges[1])
+    lo_hi = index.keys.searchsorted(edges)
+    # Rows lo, hi, head, tail, hi.
+    found = np.concatenate((lo_hi, index.bounds.take(k, axis=1), lo_hi[1:]))
+    starts = found[0:3:2]
+    lengths = np.maximum(np.maximum(found[1:3], found[3:5] * wrapped) - starts, 0)
+    return starts.T.ravel(), lengths.T.ravel(), kept
 
 
-def _best_in_runs(index, rx, ry, rz, starts, lengths, slabs):
+def _chunks(ends):
+    """(a, b) bounds of consecutive requests whose counts, summed up to
+    `ends`, total at most _CHUNK_ELEMENTS; a request with more is a
+    chunk of its own."""
+    bounds, a, q = [], 0, ends.shape[0]
+    while a < q:
+        done = ends[a - 1] if a else 0
+        b = max(a + 1, int(ends.searchsorted(done + _CHUNK_ELEMENTS, "right")))
+        bounds.append((a, b))
+        a = b
+    return bounds
+
+
+def _best_in_runs(index, req, starts, lengths, runs):
     """Per request, the lowest stored index that attains the smallest
-    squared chord over its runs of sorted positions: the runs of `slabs[i]`
-    rows of (starts, lengths), after those of the requests before it.
+    squared chord over its runs of sorted positions: the `runs[i]` runs
+    (starts, lengths) after those of the requests before it.
 
-    The runs are one ragged batch, cut into chunks of about
-    _CHUNK_ELEMENTS pairs; a request with more is a chunk of its own.
+    The runs are one ragged batch of positions, compared at once when
+    it holds at most _CHUNK_ELEMENTS and otherwise in chunks of about
+    that many; a request with more is a chunk of its own.
     """
-    arg = np.empty(rx.shape[0], dtype=np.int64)
-    rows = slabs.cumsum()
-    counts = np.add.reduceat(lengths.sum(axis=1), rows - slabs)
-    for c in _chunks(counts):
-        r = slice(rows[c.start] - slabs[c.start], rows[c.stop - 1])
-        cnt, length = counts[c], lengths[r].ravel()
-        heads = cnt.cumsum() - cnt
-        offsets = length.cumsum() - length
-        pos = np.arange(heads[-1] + cnt[-1]) + (starts[r].ravel() - offsets).repeat(length)
-        chords = _chords(rx[c].repeat(cnt), ry[c].repeat(cnt), rz[c].repeat(cnt), index, pos)
-        best = np.minimum.reduceat(chords, heads)
-        # Every request attains its minimum at least once.
-        hits = (chords == best.repeat(cnt)).nonzero()[0]
-        arg[c] = np.minimum.reduceat(
-            index.order.take(pos.take(hits)), hits.searchsorted(heads)
+    ends = np.add.accumulate(lengths)
+    offsets = ends - lengths
+    run_ends = np.add.accumulate(runs)
+    heads = offsets.take(run_ends - runs)
+    shift = starts - offsets
+    if ends[-1] <= _CHUNK_ELEMENTS:
+        return _best_of(index, req, runs, shift, lengths, heads, 0, ends[-1])
+    arg = np.empty(runs.shape[0], dtype=np.int64)
+    done = np.append(heads[1:], ends[-1])
+    for a, b in _chunks(done):
+        r = slice(run_ends[a] - runs[a], run_ends[b - 1])
+        arg[a:b] = _best_of(
+            index, req[:, a:b], runs[a:b], shift[r], lengths[r], heads[a:b],
+            heads[a], done[b - 1],
         )
     return arg
 
 
+def _best_of(index, req, runs, shift, lengths, heads, first, last):
+    """_best_in_runs over positions `first` to `last` of the batch. The
+    smallest chord + 1j * stored index is the smallest chord at the
+    lowest index, as numpy orders complex numbers by real part first."""
+    pos = np.arange(first, last) + shift.repeat(lengths)
+    reqs = req.repeat(runs, axis=1).repeat(lengths, axis=1)
+    keys = _chords(index, reqs, pos) + index.ties.take(pos)
+    return np.minimum.reduceat(keys, heads - first).imag.astype(np.int64)
+
+
+# nearest_value compares about this many (request, value) pairs at once
+# (512 kB per temporary); a read of all 129 bins at all 129 bins is one
+# chunk.
+_VALUE_CHUNK_ELEMENTS = 1 << 16
+
+
 def nearest_value(base, req):
-    """Index of the nearest base value (absolute difference) per request."""
+    """Index of the nearest base value (absolute difference) per request.
+
+    The base may be in any order. Requests are compared with every base
+    value in chunks of rows, so memory stays bounded for any sizes.
+    """
     base = np.asarray(base, dtype=np.float64)
     req = np.asarray(req, dtype=np.float64)
     if base.shape[0] == 0:
         raise ValueError("cannot search an empty value list")
-    return np.argmin(np.abs(req[:, None] - base[None, :]), axis=1).astype(np.int64)
+    arg = np.empty(req.shape[0], dtype=np.int64)
+    step = max(1, _VALUE_CHUNK_ELEMENTS // base.shape[0])
+    for a in range(0, req.shape[0], step):
+        gaps = req[a : a + step, None] - base
+        np.argmin(np.abs(gaps, out=gaps), axis=1, out=arg[a : a + step])
+    return arg
 
 
 def fourier_basis(order, x):

@@ -105,16 +105,20 @@ def _first_smallest_chord(base_az, base_el, req_az, req_el):
 def _spy_compared(monkeypatch):
     """Log, per searched request, its band's slab count and the number of
     stored directions its windows compare."""
-    log = []
-    best_in_runs = kernels._best_in_runs
+    log, bands = [], []
+    windows, best_in_runs = kernels._windows, kernels._best_in_runs
 
-    def spy(index, rx, ry, rz, starts, lengths, slabs):
-        rows = np.cumsum(slabs)
-        compared = np.add.reduceat(lengths.sum(axis=1), rows - slabs)
-        log.extend(zip(slabs.tolist(), compared.tolist()))
-        return best_in_runs(index, rx, ry, rz, starts, lengths, slabs)
+    def spy_windows(index, table, first, slabs):
+        bands.append(slabs.tolist())
+        return windows(index, table, first, slabs)
 
-    monkeypatch.setattr(kernels, "_best_in_runs", spy)
+    def spy_best(index, req, starts, lengths, runs):
+        compared = np.add.reduceat(lengths, np.cumsum(runs) - runs)
+        log.extend(zip(bands.pop(0), compared.tolist()))
+        return best_in_runs(index, req, starts, lengths, runs)
+
+    monkeypatch.setattr(kernels, "_windows", spy_windows)
+    monkeypatch.setattr(kernels, "_best_in_runs", spy_best)
     return log
 
 
