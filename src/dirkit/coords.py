@@ -159,9 +159,12 @@ def _as_directions(values):
         raise ValueError(f"directions must be (azimuth, elevation) pairs, got {pairs.shape}")
     pairs = pairs.reshape(-1, 2)
     valid = np.abs(pairs) <= _PAIR_BOUNDS
-    if not valid.all():
+    if np.count_nonzero(valid) < valid.size:
         Direction(*pairs[valid.all(axis=1).argmin()].tolist())  # raises Direction's error
-    pairs[:, 0] = _wrap_degrees(pairs[:, 0])
+    # `_wrap_degrees`, in place.
+    azimuths = pairs[:, 0]
+    np.remainder(azimuths, 360.0, out=azimuths)
+    np.copyto(azimuths, 0.0, where=azimuths == 360.0)
     return _Directions(pairs)
 
 
@@ -187,8 +190,12 @@ def _ascending(values, what, minimum, strict_min):
         raise TypeError(f"{what} values must be a flat sequence of numbers")
     # Ascending from a first value above the minimum to a finite last one,
     # every value is finite and above the minimum; a nan breaks the order.
-    first = not len(vals) or (vals[0] > minimum if strict_min else vals[0] >= minimum)
-    if first and (vals[1:] > vals[:-1]).all() and (not len(vals) or vals[-1] < math.inf):
+    n = len(vals)
+    if not n or (
+        (vals[0] > minimum if strict_min else vals[0] >= minimum)
+        and np.count_nonzero(vals[1:] > vals[:-1]) == n - 1
+        and vals[-1] < math.inf
+    ):
         return vals
     bad = ~np.isfinite(vals) | ((vals <= minimum) if strict_min else (vals < minimum))
     if bad.any():
@@ -213,11 +220,13 @@ def _check_value(v, what, minimum, strict_min):
 def _set_values(cs, frequencies, distances):
     """Set the frequencies and distances of `cs` as tuples of floats, and
     keep both as read-only float64 arrays, `cs._values`, for reads."""
-    values = tuple(np.asarray(v, dtype=np.float64) for v in (frequencies, distances))
-    for name, vals in zip(("frequencies", "distances"), values):
-        vals.setflags(write=False)
-        object.__setattr__(cs, name, tuple(vals.tolist()))
-    vars(cs)["_values"] = values
+    freqs = np.asarray(frequencies, dtype=np.float64)
+    dists = np.asarray(distances, dtype=np.float64)
+    freqs.setflags(write=False)
+    dists.setflags(write=False)
+    object.__setattr__(cs, "frequencies", tuple(freqs.tolist()))
+    object.__setattr__(cs, "distances", tuple(dists.tolist()))
+    vars(cs)["_values"] = (freqs, dists)
 
 
 @dataclass(frozen=True)
@@ -237,8 +246,10 @@ class CoordinateSet:
     continuity: Continuity = DISCRETE
 
     def __post_init__(self):
-        cont = Continuity(*(bool(flag) for flag in self.continuity))
-        object.__setattr__(self, "continuity", cont)
+        cont = self.continuity
+        if cont is not DISCRETE:
+            cont = Continuity(*(bool(flag) for flag in cont))
+            object.__setattr__(self, "continuity", cont)
 
         if cont.direction:
             dirs = _float_pair(self.directions, "direction (elevation)")
@@ -249,8 +260,9 @@ class CoordinateSet:
             # Each pair as one complex key: a sort finds a repeat, and a stable
             # sort, which keeps equal keys in input order, names the first.
             keys = dirs.pairs.view(np.complex128).ravel()
-            ordered = np.sort(keys)
-            if (ordered[1:] == ordered[:-1]).any():
+            ordered = keys.copy()
+            ordered.sort()
+            if np.count_nonzero(ordered[1:] == ordered[:-1]):
                 order = np.argsort(keys, kind="stable")
                 ordered = keys[order]
                 first = order[1:][ordered[1:] == ordered[:-1]].min()
@@ -423,12 +435,10 @@ def discrete_read_indices(stored, requested):
             f"spectrum_series or balloon_grid for a sampled read)"
         )
     d_idx, dirs = _snap_directions(stored, requested)
-    (f_idx, freqs), (r_idx, dists) = (
-        _snap_values(base, continuous, req, stored._validated)
-        for base, continuous, req in zip(
-            stored._values, stored.continuity[1:], requested._values
-        )
-    )
+    (f_base, r_base), (f_req, r_req) = stored._values, requested._values
+    _, f_continuous, r_continuous = stored.continuity
+    f_idx, freqs = _snap_values(f_base, f_continuous, f_req, stored._validated)
+    r_idx, dists = _snap_values(r_base, r_continuous, r_req, stored._validated)
     actual = CoordinateSet._unchecked(dirs, freqs, dists, DISCRETE)
     return d_idx, f_idx, r_idx, actual
 

@@ -97,7 +97,7 @@ _GATHER_STEP = 1 << 16
 def _run(idx):
     """The slice equal to `idx` when it ascends by one from its first entry
     (an empty index too), else None."""
-    if len(idx) > 1 and not np.all(np.diff(idx) == 1):
+    if len(idx) > 1 and np.count_nonzero(idx[1:] - idx[:-1] != 1):
         return None
     start = int(idx[0]) if len(idx) else 0
     return slice(start, start + len(idx))
@@ -174,7 +174,7 @@ class DataVolume:
             raise ValueError(
                 f"volume shape {values.shape} does not match coords {expected}"
             )
-        if np.iscomplexobj(values) != (self.datatype is DataType.COMPLEX_SPECTRUM):
+        if (values.dtype.kind == "c") != (self.datatype is DataType.COMPLEX_SPECTRUM):
             raise ValueError(
                 f"element kind {values.dtype} does not match datatype {self.datatype.value}"
             )

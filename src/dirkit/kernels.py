@@ -199,19 +199,28 @@ def nearest_direction(index, req_az, req_el):
     slabs = index.z_lo.searchsorted(z + reach, "right") - lo
     np.subtract(_C["one"] - bound / _C["two"], s, out=table[3])
     ends = np.add.accumulate(slabs)
-    chunks = [(0, q)] if ends[-1] <= _CHUNK_ELEMENTS else _chunks(ends)
+    if ends[-1] <= _CHUNK_ELEMENTS:
+        return _nearest_in_bands(index, req, table, lo, slabs)
     arg = np.empty(q, dtype=np.int64)
-    for a, b in chunks:
+    for a, b in _chunks(ends):
         r = slice(a, b)
-        starts, lengths, kept = _windows(index, table[:, r], lo[r], slabs[r])
-        arg[r] = _best_in_runs(index, req[:, r], starts, lengths, 2 * kept)
+        arg[r] = _nearest_in_bands(index, req[:, r], table[:, r], lo[r], slabs[r])
     return arg
+
+
+def _nearest_in_bands(index, req, table, first, slabs):
+    """nearest_direction's result for requests whose bands are the
+    `slabs` slabs from `first`."""
+    starts, lengths, kept = _windows(index, table, first, slabs)
+    return _best_in_runs(index, req, starts, lengths, 2 * kept)
 
 
 # _windows' edges phi - half and phi + half are phi plus these times half;
 # where one crosses -pi or pi, it moves back by these.
 _EDGE_SIGN = np.array([[-1.0], [1.0]])
 _EDGE_WRAP = np.array([[-2.0 * np.pi], [2.0 * np.pi]])
+# The edges of a whole slab.
+_EDGE_WHOLE = np.array([[-np.pi], [np.pi]])
 
 
 def _windows(index, table, first, slabs):
@@ -249,14 +258,13 @@ def _windows(index, table, first, slabs):
     kept = np.add.reduceat(keep, ends - slabs)
     k = k.compress(keep)
     rhos, num, phi, base = pairs[2:6].compress(keep, axis=1)
-    # rhos is 0 or above _TINY**2, so the quotient does not overflow.
+    # rhos is 0 or above _TINY**2, so the quotient does not overflow, and
+    # it is at most 1: num <= rhos.
     cos_min = num / np.maximum(rhos, _C["rho_floor"])
-    half = np.arccos(np.maximum(np.minimum(cos_min, _C["one"]), _C["minus_one"]))
+    half = np.arccos(np.maximum(cos_min, _C["minus_one"]))
     half += _C["slack"]
-    whole = num <= _C["zero"]
-    np.putmask(phi, whole, 0.0)
-    np.putmask(half, whole, np.pi)
     edges = phi + half * _EDGE_SIGN
+    np.copyto(edges, _EDGE_WHOLE, where=num <= _C["zero"])
     cross = edges * _EDGE_SIGN > _C["pi"]
     np.subtract(edges, _EDGE_WRAP, out=edges, where=cross)
     wrapped = cross[0] | cross[1]
@@ -305,20 +313,21 @@ def _best_in_runs(index, req, starts, lengths, runs):
     for a, b in _chunks(done):
         r = slice(run_ends[a] - runs[a], run_ends[b - 1])
         arg[a:b] = _best_of(
-            index, req[:, a:b], runs[a:b], shift[r], lengths[r], heads[a:b],
+            index, req[:, a:b], runs[a:b], shift[r], lengths[r], heads[a:b] - heads[a],
             heads[a], done[b - 1],
         )
     return arg
 
 
 def _best_of(index, req, runs, shift, lengths, heads, first, last):
-    """_best_in_runs over positions `first` to `last` of the batch. The
-    smallest chord + 1j * stored index is the smallest chord at the
-    lowest index, as numpy orders complex numbers by real part first."""
+    """_best_in_runs over positions `first` to `last` of the batch, the
+    requests' first ones at `heads` from `first`. The smallest chord +
+    1j * stored index is the smallest chord at the lowest index, as
+    numpy orders complex numbers by real part first."""
     pos = np.arange(first, last) + shift.repeat(lengths)
     reqs = req.repeat(runs, axis=1).repeat(lengths, axis=1)
     keys = _chords(index, reqs, pos) + index.ties.take(pos)
-    return np.minimum.reduceat(keys, heads - first).imag.astype(np.int64)
+    return np.minimum.reduceat(keys, heads).imag.astype(np.int64)
 
 
 # nearest_value compares about this many (request, value) pairs at once
@@ -341,7 +350,7 @@ def nearest_value(base, req):
     step = max(1, _VALUE_CHUNK_ELEMENTS // base.shape[0])
     for a in range(0, req.shape[0], step):
         gaps = req[a : a + step, None] - base
-        np.argmin(np.abs(gaps, out=gaps), axis=1, out=arg[a : a + step])
+        np.abs(gaps, out=gaps).argmin(axis=1, out=arg[a : a + step])
     return arg
 
 
