@@ -1,6 +1,8 @@
 """Conformance of every representation to the shared read contract."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from dirkit import (
     synth_test_set,
 )
 from dirkit.diff import HORIZONTAL_TOL_DEG
+from dirkit.formats import read_dird, write_dird
 
 SEED = 20240813
 
@@ -583,3 +586,105 @@ def test_coercion_is_idempotent_at_a_crowded_pair(pair, asked):
                  directions, (1.0,))
     first = raw.coerce_onto(CoordinateSet(directions=[asked], frequencies=(1000.0,)))
     assert raw.coerce_onto(first.coords) == (first.coords, False)
+
+
+# --------------------------------------------------------------------------
+# contract properties over drawn requests and sets
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def layered_objects():
+    """Raw set, model and diff with two distances, so that a flattened read
+    shows the order of all three axes."""
+    rng = np.random.default_rng(SEED + 11)
+    directions = [(30.0 * a, e) for e in (-30.0, 0.0, 30.0) for a in range(12)]
+    decay = np.exp(-np.arange(32) / 6.0)[None, :, None]
+    raw = RawIRs("layered", rng.standard_normal((len(directions), 32, 2)) * decay,
+                 16000.0, directions, (1.0, 2.0))
+    model = fit_basis_model("layered model", raw, "fourier", 6)
+    at = CoordinateSet(
+        directions=raw.coords.directions,
+        frequencies=raw.coords.frequencies[1:],
+        distances=raw.coords.distances,
+    )
+    return {"raw": raw, "model": model, "diff": DirectivityDiff("layered", raw, model, at=at)}
+
+
+def _drawn_requests(max_directions=6):
+    """Discrete requests anywhere: distinct directions, frequencies up to
+    Nyquist of the 16 kHz sets and distances around the stored ones."""
+    pairs = st.tuples(
+        st.floats(min_value=0.0, max_value=359.0),
+        st.floats(min_value=-90.0, max_value=90.0),
+    )
+    return st.builds(
+        lambda dirs, freqs, dists: CoordinateSet(
+            directions=dirs, frequencies=sorted(freqs), distances=sorted(dists)
+        ),
+        st.lists(pairs, min_size=1, max_size=max_directions, unique=True),
+        st.sets(st.floats(min_value=0.0, max_value=8000.0), min_size=1, max_size=5),
+        st.sets(st.floats(min_value=0.5, max_value=3.0), min_size=1, max_size=3),
+    )
+
+
+@pytest.mark.parametrize("kind", ["raw", "model", "diff"])
+@settings(max_examples=40, deadline=None)
+@given(request=_drawn_requests(), data=st.data())
+def test_vector_reads_flatten_direction_fastest_then_frequency(
+    layered_objects, kind, request, data
+):
+    obj = layered_objects[kind]
+    datatype = data.draw(st.sampled_from(sorted(obj.supported_datatypes, key=str)))
+    vector, actual = obj.get_data_vector(request, datatype)
+    volume = obj.get_data_matrix(request, datatype)
+    assert actual == volume.coords
+    # Index d + f * D + r * D * F holds cell (d, f, r).
+    expected = volume.values.transpose(2, 1, 0).ravel()
+    assert vector.dtype == expected.dtype
+    assert vector.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=32),
+    family=st.sampled_from(["fourier", "cosine"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_fit_at_full_order_reproduces_the_source_at_its_bins(n, family, seed):
+    # N fit bins (DC excluded) from 2N samples; K = N functions.
+    rng = np.random.default_rng(seed)
+    directions = [(0.0, 0.0), (120.0, 30.0), (240.0, -45.0)]
+    raw = RawIRs("source", rng.standard_normal((3, 2 * n)), 48000.0, directions)
+    model = fit_basis_model("full order", raw, family, n)
+    at = CoordinateSet(directions=directions, frequencies=raw.coords.frequencies[1:])
+    fitted = model.get_data_matrix(at, DataType.LOG_MAGNITUDE).values
+    source = raw.get_data_matrix(at, DataType.LOG_MAGNITUDE).values
+    assert np.max(np.abs(fitted - source)) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=2, max_value=24),
+    distances=st.sets(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3),
+    sample_rate=st.sampled_from([8000.0, 44100.0, 48000.0, 96000.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    request=_drawn_requests(max_directions=4),
+)
+def test_a_dird_round_trip_reads_the_same_for_every_datatype(
+    count, length, distances, sample_rate, seed, request
+):
+    rng = np.random.default_rng(seed)
+    directions = list(zip(rng.uniform(0.0, 360.0, count), rng.uniform(-90.0, 90.0, count)))
+    irs = rng.standard_normal((count, length, len(distances))) * 10.0 ** rng.uniform(-3, 3)
+    raw = RawIRs("round trip", irs, sample_rate, directions, sorted(distances))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "set.dird"
+        write_dird(raw, path)
+        back = read_dird(path)
+    for at in (raw.coords, request):
+        for datatype in sorted(raw.supported_datatypes, key=str):
+            before = raw.get_data_matrix(at, datatype)
+            after = back.get_data_matrix(at, datatype)
+            assert after.coords == before.coords
+            assert after.values.tobytes() == before.values.tobytes()

@@ -185,6 +185,19 @@ def test_a_read_at_a_separate_band_of_stored_directions_compares_few(monkeypatch
     assert max(compared for _, compared in log) <= 50
 
 
+def test_search_matches_the_full_scan_on_the_benchmark_grid():
+    # The 11880-direction 2 degree grid above -40 degrees of the off-grid
+    # read benchmark: every 8th stored direction, 2000 seeded requests
+    # uniform on the sphere, and 50 each at the zenith and at the nadir.
+    base_az, base_el = _grid(2.0, -40.0)
+    rng = np.random.default_rng(SEED + 7)
+    uniform = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 2000)))
+    req_az = np.concatenate([base_az[::8], rng.uniform(0.0, 360.0, 2100)])
+    req_el = np.concatenate([base_el[::8], uniform, np.full(50, 90.0), np.full(50, -90.0)])
+    got = nearest_direction(direction_index(base_az, base_el), req_az, req_el)
+    assert got.tolist() == _first_smallest_chord(base_az, base_el, req_az, req_el)
+
+
 def test_nearest_direction_of_no_request_is_an_empty_index():
     index = direction_index(np.array([0.0, 90.0]), np.array([0.0, 45.0]))
     got = nearest_direction(index, np.array([]), np.array([]))
@@ -216,6 +229,20 @@ def test_nearest_value_tie_takes_first_index():
     base = np.array([100.0, 200.0])
     idx = nearest_value(base, np.array([150.0]))
     assert int(idx[0]) == 0
+
+
+def test_nearest_value_compares_in_chunks_of_rows(monkeypatch):
+    # Unsorted stored values with repeats, against the whole comparison
+    # matrix, whatever the chunk size.
+    rng = np.random.default_rng(SEED + 8)
+    base = rng.choice(rng.uniform(-50.0, 50.0, 40), 60)
+    req = np.concatenate([base, rng.uniform(-60.0, 60.0, 77)])
+    expected = np.argmin(np.abs(req[:, None] - base[None, :]), axis=1).tolist()
+    for chunk in (1, 59, 60, 61, 1000, 1 << 16):
+        monkeypatch.setattr(kernels, "_VALUE_CHUNK_ELEMENTS", chunk)
+        got = nearest_value(base, req)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
 
 
 def test_nearest_value_empty_base_rejected():

@@ -1,6 +1,7 @@
 """Spectrum-series and balloon-grid sampling on top of matrix reads."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def test_discrete_series_reports_every_stored_bin():
     assert series.values.shape == (33,)
     # unit gain at (90, 0) in the flat set
     np.testing.assert_allclose(series.values, 0.0, atol=1e-12)
+
+
+def test_a_long_series_keeps_its_memory_bounded():
+    # A read of all 8193 bins at a copy of them asks, per bin, for the
+    # nearest stored one: a whole comparison matrix would take 537 MB per
+    # temporary.
+    rng = np.random.default_rng(SEED)
+    raw = RawIRs("long", rng.standard_normal((2, 16384)), 48000.0, [(0.0, 0.0), (90.0, 0.0)])
+    copy = CoordinateSet(directions=[(10.0, 5.0)], frequencies=raw.coords.frequency_array)
+    tracemalloc.start()
+    try:
+        series = raw.spectrum_series((10.0, 5.0))
+        volume = raw.get_data_matrix(copy, DataType.LOG_MAGNITUDE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert volume.values[0, :, 0].tobytes() == series.values.tobytes()
+    assert peak < 16 * 2**20
 
 
 def test_series_direction_is_coerced_and_reported():
