@@ -8,6 +8,13 @@ stored list, limits each request to the slabs whose z lies close enough
 to hold the nearest one and, in each, to the azimuth window that can
 reach it. It evaluates those with the full scan's expression, so its
 indices are bit-identical to the full scan's.
+
+A search of a few requests costs its numpy calls more than its
+arithmetic, so the search keeps their number fixed and small: what a
+step reads of a request or of a slab is one row of one array, each pass
+gathers its candidates' (x, y, z) columns with one `take`, slabs that
+cannot hold the nearest direction are dropped before their windows are
+searched, and a batch within one chunk runs no chunk loop.
 """
 
 import math
@@ -40,6 +47,7 @@ _C = {
     for name, value in dict(
         tiny=_TINY, pole=90.0, slack=_SLACK, span=_SLAB_SPAN, one=1.0, two=2.0,
         minus_one=-1.0, zero=0.0, rho_floor=_TINY**2, pi=np.pi, inf=np.inf,
+        largest=np.finfo(np.float64).max,
     ).items()
 }
 
@@ -51,7 +59,8 @@ def _search_vectors(azimuth_deg, elevation_deg):
     the squared chord of two is 0 exactly when they are equal, and a
     horizontal length is 0 or above _TINY."""
     angles = np.array((azimuth_deg, elevation_deg), dtype=np.float64)
-    if np.count_nonzero(np.isfinite(angles)) < angles.size:
+    magnitudes = np.abs(angles)
+    if np.count_nonzero(magnitudes <= _C["largest"]) < angles.size:
         raise ValueError("cannot search for a non-finite direction")
     rad = np.deg2rad(angles)
     # Rows cos(az), sin(az), sin(el), cos(el); cos(el) is 0 at the poles,
@@ -59,7 +68,7 @@ def _search_vectors(azimuth_deg, elevation_deg):
     trig = np.empty((4, rad.shape[1]))
     np.cos(rad, out=trig[::3])
     np.sin(rad, out=trig[1:3])
-    np.putmask(trig[3], np.abs(angles[1]) == _C["pole"], 0.0)
+    np.putmask(trig[3], magnitudes[1] == _C["pole"], 0.0)
     trig[:2] *= trig[3]
     vectors = trig[:3]
     np.putmask(vectors, np.abs(vectors) < _C["tiny"], 0.0)
@@ -95,9 +104,9 @@ class DirectionIndex(NamedTuple):
     and `ties` those indices times 1j. `keys` is the slab number times
     _SLAB_SPAN plus the azimuth, ascending over all positions. `z_lo`
     and `z_hi` are each slab's smallest and largest z. Column k of
-    `slabs` is what _windows reads of slab k: k * _SLAB_SPAN, z_lo, z_hi
-    and rho_max, the largest horizontal length sqrt(x^2 + y^2); column k
-    of `bounds` is starts[k] and starts[k + 1].
+    `slab_rows` is what _windows reads of slab k: k * _SLAB_SPAN, z_lo,
+    z_hi and rho_max, the largest horizontal length sqrt(x^2 + y^2);
+    column k of `slab_bounds` is starts[k] and starts[k + 1].
     """
 
     vectors: np.ndarray
@@ -107,8 +116,8 @@ class DirectionIndex(NamedTuple):
     starts: np.ndarray
     z_lo: np.ndarray
     z_hi: np.ndarray
-    slabs: np.ndarray
-    bounds: np.ndarray
+    slab_rows: np.ndarray
+    slab_bounds: np.ndarray
 
 
 def direction_index(azimuth_deg, elevation_deg):
@@ -250,7 +259,7 @@ def _windows(index, table, first, slabs):
     # Rows z, z, rho, c, phi of the request and k * _SLAB_SPAN, z_lo,
     # z_hi, rho_max of the slab, per (request, slab) pair; the products
     # z z_lo, z z_hi, rho rho_max and then num replace the first four.
-    pairs = np.concatenate((table.repeat(slabs, axis=1), index.slabs.take(k, axis=1)))
+    pairs = np.concatenate((table.repeat(slabs, axis=1), index.slab_rows.take(k, axis=1)))
     np.multiply(pairs[:3], pairs[6:], out=pairs[:3])
     rhos, num = pairs[2], pairs[3]
     np.subtract(num, np.maximum(pairs[0], pairs[1]), out=num)
@@ -273,7 +282,7 @@ def _windows(index, table, first, slabs):
     np.nextafter(edges[1], _C["inf"], out=edges[1])
     lo_hi = index.keys.searchsorted(edges)
     # Rows lo, hi, head, tail, hi.
-    found = np.concatenate((lo_hi, index.bounds.take(k, axis=1), lo_hi[1:]))
+    found = np.concatenate((lo_hi, index.slab_bounds.take(k, axis=1), lo_hi[1:]))
     starts = found[0:3:2]
     lengths = np.maximum(np.maximum(found[1:3], found[3:5] * wrapped) - starts, 0)
     return starts.T.ravel(), lengths.T.ravel(), kept
