@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from dirkit import DataType, SynthSpec, kernels, synth_test_set
+from dirkit import SynthSpec, kernels, synth_test_set
 
 # Counts of the current code plus a margin of a few calls.
 SERIES_C_CALLS, SERIES_PY_CALLS = 97, 66
@@ -70,14 +70,3 @@ def test_a_64_request_search_makes_few_calls(raw):
     assert c_calls <= SEARCH_C_CALLS
     assert py_calls <= SEARCH_PY_CALLS
 
-
-def test_the_counted_reads_are_the_reads_they_guard(raw):
-    # The counted calls do the work: the series reads every stored bin at
-    # the nearest stored direction.
-    series = raw.spectrum_series((201.7, -33.3), 1.7, DataType.LOG_MAGNITUDE)
-    assert series.frequencies.tobytes() == raw.coords.frequency_array.tobytes()
-    (landed,) = series.coords.directions
-    nearest = kernels.nearest_direction(
-        raw.coords.directions.search_index, np.array([201.7]), np.array([-33.3])
-    )
-    assert landed == raw.coords.directions[int(nearest[0])]
