@@ -248,7 +248,8 @@ class Directivity(ABC):
         if self.coords.continuity.frequency:
             lo, hi = self.coords.frequencies
             lo = SERIES_MIN_HZ if lo == 0.0 else lo
-            freqs = _ascending(np.geomspace(lo, hi, SERIES_SAMPLES), "frequency", 0.0, False)
+            freqs = np.geomspace(lo, hi, SERIES_SAMPLES)
+            freqs = _ascending(freqs, "frequency", 0.0, strict_min=False)
         else:
             freqs = self.coords._values[0]
         _check_value(distance, "distance", 0.0, strict_min=True)

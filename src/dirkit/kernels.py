@@ -63,8 +63,8 @@ def _search_vectors(azimuth_deg, elevation_deg):
     if np.count_nonzero(magnitudes <= _C["largest"]) < angles.size:
         raise ValueError("cannot search for a non-finite direction")
     rad = np.deg2rad(angles)
-    # Rows cos(az), sin(az), sin(el), cos(el); cos(el) is 0 at the poles,
-    # and the flush turns the x = y = -0 that gives into 0.
+    # Rows cos(az), sin(az), sin(el), cos(el); cos(el) is set to 0 at
+    # the poles, and the flush turns an x or y of -0 that gives into 0.
     trig = np.empty((4, rad.shape[1]))
     np.cos(rad, out=trig[::3])
     np.sin(rad, out=trig[1:3])
