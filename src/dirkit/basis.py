@@ -40,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .coords import Continuity, CoordinateSet, discrete_read_indices
+from .coords import Continuity, CoordinateSet, _ascending, discrete_read_indices
 from .core import DataType, DataVolume, Directivity, _db_to_linear_in_place, gather
 
 _MODEL_TYPES = frozenset(
@@ -90,11 +90,9 @@ class BasisSpectrumModel(Directivity):
                 f"coefficients must be (D, K, R) or (D, K), got {coefficients.shape}"
             )
         _check_finite(coefficients)
-        bins = tuple(float(b) for b in source_bins)
+        bins = tuple(_ascending(source_bins, "source bin", 0.0, strict_min=False).tolist())
         if len(bins) < 1:
             raise ValueError("need at least one source bin")
-        if any(b <= a for a, b in zip(bins, bins[1:])):
-            raise ValueError("source bins must be strictly ascending")
         order = coefficients.shape[1]
         if order < 1 or order > len(bins):
             raise ValueError(

@@ -39,15 +39,8 @@ class Direction:
     elevation: float
 
     def __post_init__(self):
-        az = float(self.azimuth)
-        el = float(self.elevation)
-        if not (math.isfinite(az) and math.isfinite(el)):
-            raise ValueError(f"direction ({az}, {el}) has non-finite components")
-        if not -90.0 <= el <= 90.0:
-            raise ValueError(f"elevation {el} outside [-90, +90]")
-        az %= 360.0
-        # A tiny negative azimuth wraps to 360.0 in floating point.
-        object.__setattr__(self, "azimuth", 0.0 if az == 360.0 else az)
+        ((az, el),) = _as_directions(((self.azimuth, self.elevation),)).pairs.tolist()
+        object.__setattr__(self, "azimuth", az)
         object.__setattr__(self, "elevation", el)
 
     def angle_to(self, other):
@@ -144,8 +137,9 @@ _PAIR_BOUNDS = np.array([np.finfo(np.float64).max, 90.0])
 
 
 def _as_directions(values):
-    """Discrete directions as a `_Directions`, keeping one as it is. The
-    pairs are checked and wrapped by `Direction`'s rule over whole arrays."""
+    """Discrete directions as a `_Directions`, keeping one as it is. Each
+    pair must be finite with an elevation in [-90, +90]; the first that
+    is not raises. Azimuths wrap into [0, 360)."""
     if type(values) is _Directions:
         return values
     try:
@@ -160,11 +154,11 @@ def _as_directions(values):
     pairs = pairs.reshape(-1, 2)
     valid = np.abs(pairs) <= _PAIR_BOUNDS
     if np.count_nonzero(valid) < valid.size:
-        Direction(*pairs[valid.all(axis=1).argmin()].tolist())  # raises Direction's error
-    # `_wrap_degrees`, in place.
-    azimuths = pairs[:, 0]
-    np.remainder(azimuths, 360.0, out=azimuths)
-    np.copyto(azimuths, 0.0, where=azimuths == 360.0)
+        az, el = pairs[valid.all(axis=1).argmin()].tolist()
+        if not (math.isfinite(az) and math.isfinite(el)):
+            raise ValueError(f"direction ({az}, {el}) has non-finite components")
+        raise ValueError(f"elevation {el} outside [-90, +90]")
+    _wrap_degrees(pairs[:, 0])
     return _Directions(pairs)
 
 
@@ -462,19 +456,21 @@ def expand_grid(cs):
 _POLE_TOL = 1e-12
 
 
-def _wrap_degrees(angle):
-    """Angle in [0, 360); a tiny negative angle % 360 is 360.0 in floating
-    point, which maps to 0.0, as in Direction."""
-    wrapped = np.asarray(angle) % 360.0
-    return np.where(wrapped == 360.0, 0.0, wrapped)
+def _wrap_degrees(angles):
+    """Wrap a float64 array of angles in degrees into [0, 360), in place,
+    and return it; a tiny negative angle % 360 is 360.0 in floating
+    point, which maps to 0.0."""
+    np.remainder(angles, 360.0, out=angles)
+    np.copyto(angles, 0.0, where=angles == 360.0)
+    return angles
 
 
 def _swapped_angles(first, second, swap):
     """Angles (longitude, latitude) after the axis swap `swap(x, y, z)`;
     the longitude at the swapped poles is undefined and set to 0."""
-    x, y, z = swap(*kernels._unit_vectors(first, second))
+    x, y, z = swap(*kernels._search_vectors(*np.broadcast_arrays(first, second)))
     latitude = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
-    longitude = _wrap_degrees(np.degrees(np.arctan2(y, x)))
+    longitude = _wrap_degrees(np.asarray(np.degrees(np.arctan2(y, x))))
     longitude = np.where(x * x + y * y < _POLE_TOL * _POLE_TOL, 0.0, longitude)
     if np.isscalar(first) and np.isscalar(second):
         return float(longitude), float(latitude)
@@ -500,11 +496,13 @@ def interaural_to_spherical(polar, lateral):
 def great_circle_angle(azimuth_a, elevation_a, azimuth_b, elevation_b):
     """Central angle between two directions, degrees in [0, 180].
 
-    Uses atan2 of the cross-product norm against the dot product, which
-    stays accurate for nearly parallel and nearly antipodal pairs.
+    Uses atan2 of the cross-product norm against the dot product of the
+    search vectors (kernels._search_vectors), which stays accurate for
+    nearly parallel and nearly antipodal pairs and is exactly 0 between
+    equal vectors, such as the copies of a pole.
     """
-    ax, ay, az = kernels._unit_vectors(azimuth_a, elevation_a)
-    bx, by, bz = kernels._unit_vectors(azimuth_b, elevation_b)
+    ax, ay, az = kernels._search_vectors(*np.broadcast_arrays(azimuth_a, elevation_a))
+    bx, by, bz = kernels._search_vectors(*np.broadcast_arrays(azimuth_b, elevation_b))
     cx = ay * bz - az * by
     cy = az * bx - ax * bz
     cz = ax * by - ay * bx

@@ -23,13 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-def _unit_vectors(azimuth_deg, elevation_deg):
-    az = np.deg2rad(np.asarray(azimuth_deg, dtype=np.float64))
-    el = np.deg2rad(np.asarray(elevation_deg, dtype=np.float64))
-    cos_el = np.cos(el)
-    return cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)
-
-
 # Search vector components below this in magnitude are 0, so two distinct
 # components differ by at least 2**-532, whose square is not 0.
 _TINY = 2.0**-480
@@ -53,11 +46,12 @@ _C = {
 
 
 def _search_vectors(azimuth_deg, elevation_deg):
-    """Unit vectors as the direction search ranks them, as a (3, n) array
-    of rows x, y and z: x = y = 0 where |elevation| = 90, so the copies
-    of a pole are one point, and every component below _TINY is 0. So
-    the squared chord of two is 0 exactly when they are equal, and a
-    horizontal length is 0 or above _TINY."""
+    """Unit vectors as the direction search ranks them, rows x, y and z
+    of a (3,) + shape array for inputs of one shape: x = y = 0 where
+    |elevation| = 90, so the copies of a pole are one point, and every
+    component below _TINY is 0. So the squared chord of two is 0 exactly
+    when they are equal, and a horizontal length is 0 or above _TINY.
+    The great-circle angle and the interaural conversions use them too."""
     angles = np.array((azimuth_deg, elevation_deg), dtype=np.float64)
     magnitudes = np.abs(angles)
     if np.count_nonzero(magnitudes <= _C["largest"]) < angles.size:
@@ -65,11 +59,11 @@ def _search_vectors(azimuth_deg, elevation_deg):
     rad = np.deg2rad(angles)
     # Rows cos(az), sin(az), sin(el), cos(el); cos(el) is set to 0 at
     # the poles, and the flush turns an x or y of -0 that gives into 0.
-    trig = np.empty((4, rad.shape[1]))
+    trig = np.empty((4,) + rad.shape[1:])
     np.cos(rad, out=trig[::3])
     np.sin(rad, out=trig[1:3])
-    np.putmask(trig[3], magnitudes[1] == _C["pole"], 0.0)
-    trig[:2] *= trig[3]
+    np.putmask(trig[3:], magnitudes[1:] == _C["pole"], 0.0)
+    trig[:2] *= trig[3:]
     vectors = trig[:3]
     np.putmask(vectors, np.abs(vectors) < _C["tiny"], 0.0)
     return vectors

@@ -95,7 +95,7 @@ def _source_positions(path, handle, measurement_count):
 def _group_by_distance(path, positions):
     """Split measurement rows by distance; returns (directions, distances,
     row-index array of shape (D, R))."""
-    azimuths = _wrap_degrees(positions[:, 0]).tolist()
+    azimuths = _wrap_degrees(positions[:, 0].copy()).tolist()
     elevations = positions[:, 1].tolist()
     distances = positions[:, 2]
     unique_dists = np.unique(distances)

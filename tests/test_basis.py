@@ -123,6 +123,38 @@ def test_invalid_model_rejected(coefficients, bins):
         )
 
 
+# A nan, an infinity or a negative bin at each place of a three-bin list.
+BAD_BINS = [
+    tuple(bad if i == at else b for i, b in enumerate((100.0, 200.0, 300.0)))
+    for bad in (float("nan"), float("inf"), -float("inf"), -100.0)
+    for at in range(3)
+]
+
+
+def _model_on_bins(bins):
+    return BasisSpectrumModel(
+        info="bins", family=BasisFamily.FOURIER, coefficients=np.ones((1, 1)),
+        source_bins=bins, directions=[(0, 0)],
+    )
+
+
+@pytest.mark.parametrize("bins", BAD_BINS)
+def test_a_bad_source_bin_is_rejected_anywhere(bins):
+    with pytest.raises(ValueError, match="source bin value"):
+        _model_on_bins(bins)
+
+
+def test_every_accepted_model_reads_back_from_dirm(tmp_path):
+    path = tmp_path / "bins.dirm"
+    for bins in BAD_BINS + [(0.0, 200.0, 300.0), (-0.0, 1.0), (5e-324,), (100.0, 1e308)]:
+        try:
+            model = _model_on_bins(bins)
+        except ValueError:
+            continue
+        write_dirm(model, path)
+        assert read_dirm(path).source_bins == model.source_bins
+
+
 def test_model_rejects_time_domain_datatypes():
     model = BasisSpectrumModel(
         info="",

@@ -65,13 +65,18 @@ def test_non_finite_direction_rejected(bad):
         Direction(bad, 0.0)
     with pytest.raises(ValueError):
         Direction(0.0, bad)
+    for convert in (spherical_to_interaural, interaural_to_spherical):
+        with pytest.raises(ValueError, match="non-finite direction"):
+            convert(np.array([0.0, bad]), 0.0)
+    with pytest.raises(ValueError, match="non-finite direction"):
+        great_circle_angle(0.0, 0.0, 10.0, bad)
 
 
 def test_angle_to_is_the_great_circle_angle():
     a, b = Direction(10.0, 20.0), Direction(200.0, -35.0)
     assert a.angle_to(b) == b.angle_to(a) == great_circle_angle(10.0, 20.0, 200.0, -35.0)
     # Copies of a pole at different azimuths are one direction.
-    assert Direction(0.0, 90.0).angle_to(Direction(123.0, 90.0)) < 1e-12
+    assert Direction(0.0, 90.0).angle_to(Direction(123.0, 90.0)) == 0.0
     assert Direction(40.0, 10.0).angle_to(Direction(220.0, -10.0)) == pytest.approx(
         180.0, abs=1e-12
     )
@@ -600,13 +605,20 @@ def test_conversions_wrap_tiny_negative_angles_to_zero(tiny):
 
 
 def test_vectorized_conversion_matches_scalar():
-    azimuths = np.array([0.0, 30.0, 250.0])
-    elevations = np.array([0.0, -45.0, 80.0])
-    polar, lateral = spherical_to_interaural(azimuths, elevations)
-    for i in range(3):
-        p, l = spherical_to_interaural(float(azimuths[i]), float(elevations[i]))
-        assert polar[i] == pytest.approx(p, abs=1e-12)
-        assert lateral[i] == pytest.approx(l, abs=1e-12)
+    # Arrays, and a scalar mixed with an array, which broadcast.
+    inputs = [
+        (np.array([0.0, 30.0, 250.0]), np.array([0.0, -45.0, 80.0])),
+        (np.array([0.0, 90.0]), 0.0),
+        (45.0, np.array([-90.0, 10.0, 90.0])),
+    ]
+    for first, second in inputs:
+        for convert in (spherical_to_interaural, interaural_to_spherical):
+            longitude, latitude = convert(first, second)
+            pairs = zip(*np.broadcast_arrays(first, second))
+            for i, (a, b) in enumerate(pairs):
+                lon, lat = convert(float(a), float(b))
+                assert longitude[i] == pytest.approx(lon, abs=1e-12)
+                assert latitude[i] == pytest.approx(lat, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -619,6 +631,11 @@ def test_vectorized_conversion_matches_scalar():
         (((40, 10)), ((40, 10)), 0.0),
         (((0, 0)), ((180, 0)), 180.0),
         (((0, 0)), ((0, 90)), 90.0),
+        # A scalar mixed with an array broadcasts; pole copies are 0 apart.
+        ((np.array([40.0, 220.0]), 10.0), (40.0, np.array([10.0, -10.0])),
+         np.array([0.0, 180.0])),
+        ((0.0, 90.0), (np.array([0.0, 123.0, 0.0]), np.array([90.0, 90.0, 0.0])),
+         np.array([0.0, 0.0, 90.0])),
     ],
 )
 def test_great_circle_fixed_values(a, b, expected):

@@ -1,5 +1,7 @@
 """Diffs and error measures against hand-computed closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,19 @@ def test_direction_deviation_within_tolerance_warns_and_proceeds():
     # the diff lives on the reference's actual coordinates
     assert diff.coords.directions == ref.coords.directions
     assert diff.compute_sd() == pytest.approx(20 * np.log10(2.0), abs=1e-9)
+
+
+def test_pole_copies_stored_in_another_order_deviate_by_nothing():
+    # Each set reads the zenith at its own first copy, (0, 90) in one and
+    # (123, 90) in the other; the copies are one direction.
+    dirs = [(0.0, 90.0), (123.0, 90.0), (0.0, 0.0), (90.0, 0.0)]
+    ref = impulse_set([1.0, 1.0, 2.0, 3.0], dirs)
+    eva = impulse_set([1.0, 1.0, 2.0, 3.0], [dirs[1], dirs[0]] + dirs[2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CoordinateMismatchWarning)
+        diff = DirectivityDiff("", ref, eva)
+    assert not diff.coordinate_warning
+    assert diff.compute_sd() == 0.0
 
 
 def test_frequency_deviation_tolerance_is_half_bin_spacing():

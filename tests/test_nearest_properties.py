@@ -17,6 +17,7 @@ from dirkit.coords import (
     _as_directions,
     coerce,
     discrete_read_indices,
+    great_circle_angle,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -403,3 +404,18 @@ def test_every_stored_direction_reads_back_at_its_first_equal_vector(stored_dirs
     for request in (stored, rebuilt, anywhere):
         once = coerce(stored, request).coords
         assert coerce(stored, once) == (once, False)
+
+
+@PROPERTY
+@given(stored_dirs=equal_vector_sets())
+def test_equal_search_vectors_are_zero_degrees_apart(stored_dirs):
+    # Crowded pairs, pole copies and tiny-component pairs, as whole arrays
+    # and one pair at a time.
+    az = np.array([d.azimuth for d in stored_dirs])
+    el = np.array([d.elevation for d in stored_dirs])
+    vectors = kernels._search_vectors(az, el)
+    equal = (vectors[:, :, None] == vectors[:, None, :]).all(axis=0)
+    angles = great_circle_angle(az[:, None], el[:, None], az, el)
+    assert np.all(angles[equal] == 0.0)
+    for i, j in zip(*np.nonzero(equal)):
+        assert great_circle_angle(az[i], el[i], az[j], el[j]) == 0.0
