@@ -13,11 +13,11 @@ uniform grid the fourier design matrix is orthogonal and K = N
 reproduces the source exactly at the fit bins.
 
 The fit is one QR factorization A = QR of the (N, K) design matrix,
-shared by every cell: the coefficients solve R c = Q^T b, with Q^T b
-formed for all cells in one matrix product (Golub & Van Loan, Matrix
-Computations, ch. 5). A design whose numerical rank, at the cut-off
-S.max() * max(N, K) * eps of the least-squares solvers, is below K is
-rejected.
+shared by every cell: R^-1 Q^T is formed once, and one product with it
+gives every cell's coefficients in (D, K, R) order (Golub & Van Loan,
+Matrix Computations, ch. 5). A design whose numerical rank, at the
+cut-off S.max() * max(N, K) * eps of the least-squares solvers, is below
+K is rejected.
 
 A fitted model keeps the source's validated directions and distances as
 they are: its coordinate set holds the source's directions, an array of
@@ -225,7 +225,6 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     build = CoordinateSet._unchecked if stored._validated else CoordinateSet
     requested = build(stored.directions, fit_bins, stored.distances)
     volume = source.get_data_matrix(requested, DataType.LOG_MAGNITUDE)
-    d_count, _, r_count = volume.values.shape
 
     x = np.arange(n, dtype=np.float64) / n
     design = eval_basis(family, order, x)
@@ -235,10 +234,8 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
             f"design matrix rank {rank} below order {order}; fit is underdetermined"
         )
     q, r = np.linalg.qr(design)
-    # Q^T b for every direction/distance cell in one product, then one
-    # solve with R whose right-hand columns are the cells.
-    qtb = np.matmul(q.T, volume.values)
-    rhs = qtb.transpose(1, 0, 2).reshape(order, d_count * r_count)
-    solution = np.linalg.solve(r, rhs)
-    coefficients = solution.reshape(order, d_count, r_count).transpose(1, 0, 2)
+    # R^-1 Q^T is formed once, and one product with it gives every cell's
+    # coefficients in (D, K, R) order.
+    projection = np.linalg.solve(r, q.T)
+    coefficients = np.matmul(projection, volume.values)
     return BasisSpectrumModel._fitted(info, family, coefficients, requested)

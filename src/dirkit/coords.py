@@ -139,23 +139,28 @@ _PAIR_BOUNDS = np.array([np.finfo(np.float64).max, 90.0])
 def _as_directions(values):
     """Discrete directions as a `_Directions`, keeping one as it is. Each
     pair must be finite with an elevation in [-90, +90]; the first that
-    is not raises. Azimuths wrap into [0, 360)."""
+    is not raises ValueError, or TypeError if a component is None.
+    Azimuths wrap into [0, 360)."""
     if type(values) is _Directions:
         return values
     try:
         pairs = np.array(values, dtype=np.float64)
     except (TypeError, ValueError):  # `Direction`s among them; bad input fails again
-        pairs = np.array(
-            [(d.azimuth, d.elevation) if isinstance(d, Direction) else d for d in values],
-            dtype=np.float64,
-        )
+        values = [(d.azimuth, d.elevation) if isinstance(d, Direction) else d for d in values]
+        pairs = np.array(values, dtype=np.float64)
     if pairs.shape[1:] != (2,) and pairs.shape != (0,):
         raise ValueError(f"directions must be (azimuth, elevation) pairs, got {pairs.shape}")
     pairs = pairs.reshape(-1, 2)
     valid = np.abs(pairs) <= _PAIR_BOUNDS
     if np.count_nonzero(valid) < valid.size:
-        az, el = pairs[valid.all(axis=1).argmin()].tolist()
+        row = valid.all(axis=1).argmin()
+        az, el = pairs[row].tolist()
         if not (math.isfinite(az) and math.isfinite(el)):
+            # float64 reads None as nan; name the None the caller gave.
+            given = tuple(values[row]) if isinstance(values, (list, tuple, np.ndarray)) else ()
+            for name, value in zip(("azimuth", "elevation"), given):
+                if value is None:
+                    raise TypeError(f"direction {given}: {name} is None, not a number")
             raise ValueError(f"direction ({az}, {el}) has non-finite components")
         raise ValueError(f"elevation {el} outside [-90, +90]")
     _wrap_degrees(pairs[:, 0])
@@ -474,7 +479,8 @@ def _swapped_angles(first, second, swap):
     longitude = np.where(x * x + y * y < _POLE_TOL * _POLE_TOL, 0.0, longitude)
     if np.isscalar(first) and np.isscalar(second):
         return float(longitude), float(latitude)
-    return longitude, latitude
+    # A ufunc of 0-d input returns a scalar; keep both outputs arrays.
+    return longitude, np.asarray(latitude)
 
 
 def spherical_to_interaural(azimuth, elevation):

@@ -1,5 +1,7 @@
 """Basis spectrum models: design matrices, fitting, continuous reads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -471,6 +473,27 @@ def test_fit_matches_a_least_squares_oracle(family, limits):
         np.testing.assert_allclose(
             model.coefficients, expected, rtol=1e-12, atol=1e-12 * scale
         )
+
+
+def test_a_full_order_fit_peaks_below_its_read_and_two_coefficient_arrays():
+    # 720 directions at two distances, so the (N, N) factors are small
+    # next to the (D, N, R) read and coefficients.
+    rng = np.random.default_rng(SEED + 42)
+    directions = [(5.0 * a, 10.0 * e - 40.0) for e in range(10) for a in range(72)]
+    irs = rng.standard_normal((len(directions), 64, 2))
+    raw = RawIRs("noise", irs, 16000.0, directions, (1.0, 2.0))
+    n = 32
+    fit_basis_model("", raw, "fourier", n)  # the spectra and the source's self-read
+    tracemalloc.start()
+    try:
+        model = fit_basis_model("", raw, "fourier", n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    volume_bytes = len(directions) * n * 2 * 8
+    coefficient_bytes = model.coefficients.nbytes
+    assert model.order == n and coefficient_bytes == volume_bytes
+    assert peak < volume_bytes + 2 * coefficient_bytes
 
 
 def test_rank_deficient_design_is_rejected(monkeypatch):

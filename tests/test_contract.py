@@ -588,6 +588,54 @@ def test_coercion_is_idempotent_at_a_crowded_pair(pair, asked):
     assert raw.coerce_onto(first.coords) == (first.coords, False)
 
 
+@st.composite
+def _coordinate_sets(draw):
+    """Any CoordinateSet: each dimension discrete or continuous, and a
+    discrete direction or frequency list empty or not."""
+    flags = Continuity(*(draw(st.booleans()) for _ in range(3)))
+    elevations = st.floats(min_value=-90.0, max_value=90.0)
+    frequencies = st.floats(min_value=0.0, max_value=30000.0)
+    distances = st.floats(min_value=0.1, max_value=3.0)
+    if flags.direction:
+        dirs = draw(_limits(elevations))
+    else:
+        azimuths = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
+        dirs = draw(st.lists(st.tuples(azimuths, elevations), max_size=4, unique=True))
+    if flags.frequency:
+        freqs = draw(_limits(frequencies))
+    else:
+        freqs = sorted(draw(st.sets(frequencies, max_size=3)))
+    if flags.distance:
+        dists = draw(_limits(distances))
+    else:
+        dists = sorted(draw(st.sets(distances, min_size=1, max_size=3)))
+    return CoordinateSet(directions=dirs, frequencies=freqs, distances=dists,
+                         continuity=flags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored=_coordinate_sets(), request=_coordinate_sets())
+def test_coerce_is_total(stored, request):
+    kept = (stored.directions, stored.frequencies, stored.distances)
+    asked = (request.directions, request.frequencies, request.distances)
+    # A stored dimension that is empty and discrete has nothing to snap a
+    # non-empty request onto.
+    if any(not continuous and not len(k) and len(a)
+           for continuous, k, a in zip(stored.continuity, kept, asked)):
+        with pytest.raises(ValueError, match=r"^cannot search an empty (direction|value) list$"):
+            coerce(stored, request)
+        return
+    result = coerce(stored, request).coords
+    assert result.continuity == request.continuity
+    got = (result.directions, result.frequencies, result.distances)
+    for continuous, g, a in zip(request.continuity, got, asked):
+        # Discrete lists keep their length, so an empty one stays empty;
+        # continuous limits stay two ascending values.
+        assert len(g) == len(a)
+        if continuous:
+            assert g[0] <= g[1]
+
+
 # --------------------------------------------------------------------------
 # contract properties over drawn requests and sets
 # --------------------------------------------------------------------------

@@ -72,6 +72,17 @@ def test_non_finite_direction_rejected(bad):
         great_circle_angle(0.0, 0.0, 10.0, bad)
 
 
+def test_none_direction_component_is_a_type_error():
+    # float64 would read None as nan; the error names the None instead.
+    for make in (Direction, lambda az, el: CoordinateSet(directions=[(1.0, 2.0), (az, el)])):
+        with pytest.raises(TypeError, match=r"direction \(None, 0\): azimuth is None"):
+            make(None, 0)
+        with pytest.raises(TypeError, match=r"direction \(0, None\): elevation is None"):
+            make(0, None)
+    with pytest.raises(TypeError, match="azimuth is None"):
+        CoordinateSet(directions=[Direction(1.0, 2.0), (None, 0)])
+
+
 def test_angle_to_is_the_great_circle_angle():
     a, b = Direction(10.0, 20.0), Direction(200.0, -35.0)
     assert a.angle_to(b) == b.angle_to(a) == great_circle_angle(10.0, 20.0, 200.0, -35.0)
@@ -605,18 +616,26 @@ def test_conversions_wrap_tiny_negative_angles_to_zero(tiny):
 
 
 def test_vectorized_conversion_matches_scalar():
-    # Arrays, and a scalar mixed with an array, which broadcast.
+    # Arrays, a scalar mixed with an array, which broadcast, and 0-d arrays.
     inputs = [
         (np.array([0.0, 30.0, 250.0]), np.array([0.0, -45.0, 80.0])),
         (np.array([0.0, 90.0]), 0.0),
         (45.0, np.array([-90.0, 10.0, 90.0])),
+        (np.array(10.0), 20.0),
+        (10.0, np.array(-20.0)),
+        (np.array(10.0), np.array(20.0)),
     ]
     for first, second in inputs:
+        shape = np.broadcast_shapes(np.shape(first), np.shape(second))
         for convert in (spherical_to_interaural, interaural_to_spherical):
-            longitude, latitude = convert(first, second)
-            pairs = zip(*np.broadcast_arrays(first, second))
+            outputs = convert(first, second)
+            # Both outputs are arrays of the broadcast shape, never scalars.
+            assert [(type(v), v.shape) for v in outputs] == [(np.ndarray, shape)] * 2
+            longitude, latitude = (v.reshape(-1) for v in outputs)
+            pairs = zip(*(v.reshape(-1) for v in np.broadcast_arrays(first, second)))
             for i, (a, b) in enumerate(pairs):
                 lon, lat = convert(float(a), float(b))
+                assert type(lon) is float and type(lat) is float
                 assert longitude[i] == pytest.approx(lon, abs=1e-12)
                 assert latitude[i] == pytest.approx(lat, abs=1e-12)
 
