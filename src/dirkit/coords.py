@@ -505,7 +505,8 @@ def great_circle_angle(azimuth_a, elevation_a, azimuth_b, elevation_b):
     Uses atan2 of the cross-product norm against the dot product of the
     search vectors (kernels._search_vectors), which stays accurate for
     nearly parallel and nearly antipodal pairs and is exactly 0 between
-    equal vectors, such as the copies of a pole.
+    equal vectors, such as the copies of a pole. Returns a float when all
+    four inputs are scalars, else an array of their broadcast shape.
     """
     ax, ay, az = kernels._search_vectors(*np.broadcast_arrays(azimuth_a, elevation_a))
     bx, by, bz = kernels._search_vectors(*np.broadcast_arrays(azimuth_b, elevation_b))
@@ -517,4 +518,5 @@ def great_circle_angle(azimuth_a, elevation_a, azimuth_b, elevation_b):
     angle = np.degrees(np.arctan2(cross, dot))
     if all(np.isscalar(v) for v in (azimuth_a, elevation_a, azimuth_b, elevation_b)):
         return float(angle)
-    return angle
+    # A ufunc of 0-d input returns a scalar; keep the output an array.
+    return np.asarray(angle)

@@ -11,7 +11,11 @@ or the normalized mean-square error
     MSE = sum_n |H[n] - H_ref[n]|^2 / sum_n |H_ref[n]|^2  [ratio]
 
 over any coordinate selection, per frequency bin, or around the
-horizontal plane. The diff itself honors the common read contract, so
+horizontal plane. Both measures sum squares without a squared copy of a
+volume: a total is one `dot` of the raveled values with themselves, a
+per-bin or per-azimuth curve one `einsum` pass, and a complex value
+counts as its real and imaginary parts. A sum that overflows float64
+raises ValueError. The diff itself honors the common read contract, so
 stored differences are browsable like any representation.
 """
 
@@ -187,7 +191,9 @@ class DirectivityDiff(Directivity):
         diff, ref = self._diff, self._reference
         if over is not None:
             picker = discrete_read_indices(self.coords, over)[:3]
-            diff, ref = gather(diff, *picker), gather(ref, *picker)
+            diff = gather(diff, *picker)
+            # SD reads no reference values.
+            ref = ref if fn is _sd_measure else gather(ref, *picker)
         return float(fn(diff.ravel(), ref.ravel()))
 
     def compute_sd(self, over=None):
@@ -245,10 +251,10 @@ class DirectivityDiff(Directivity):
 
 def _per_slice(fn, diff, ref, keep):
     """One error per index of axis `keep` of a sub-volume, aggregated over
-    the other two axes. The built-in measures reduce along those axes; a
+    the other two axes. The built-in measures sum per index in one pass; a
     callable gets each slice raveled."""
     if fn in (_sd_measure, _mse_measure):
-        return fn(diff, ref, axis=tuple(a for a in range(3) if a != keep))
+        return fn(diff, ref, keep=keep)
     return np.array(
         [
             fn(d.ravel(), r.ravel())
@@ -257,36 +263,42 @@ def _per_slice(fn, diff, ref, keep):
     )
 
 
-def _sum(values, axis):
-    """np.sum over `axis`: None, or ascending axes summed one at a time
-    from the outermost, so that each pass adds whole contiguous rows."""
-    if axis is None:
-        return np.sum(values)
-    for done, a in enumerate(axis):
-        values = values.sum(axis=a - done)
-    return values
+def _sum_squares(values, keep=None):
+    """Sum of |values|**2 over every cell (keep=None), or one sum per index
+    of axis `keep` (0 or 1) of a (D, F, R) volume, with no squared copy; a
+    complex volume is read as its float64 (re, im) pairs. Raises
+    ValueError when the sum overflows float64."""
+    if np.iscomplexobj(values):
+        values = values.view(np.float64)
+    # An overflow is reported by the error below, not by a warning.
+    with np.errstate(over="ignore"):
+        if keep is None:
+            flat = values.ravel()
+            sums = np.dot(flat, flat)
+        else:
+            rows = values.reshape(values.shape[0], -1)
+            if keep == 0:
+                sums = np.einsum("ij,ij->i", rows, rows)
+            else:
+                sums = np.einsum("ij,ij->j", rows, rows)
+                sums = sums.reshape(values.shape[1], -1).sum(axis=1)
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("sum of squares is not finite: it overflows float64")
+    return sums
 
 
-def _squared_magnitude(values):
-    """|values|**2 in a single temporary; a real array is squared as it is."""
-    if not np.iscomplexobj(values):
-        return values * values
-    out = np.abs(values)
-    return np.multiply(out, out, out=out)
-
-
-def _sd_measure(differences, _reference_values, axis=None):
+def _sd_measure(differences, _reference_values, keep=None):
     differences = np.asarray(differences, dtype=np.float64)
     if differences.size == 0:
         raise ValueError("empty selection")
-    squares = _sum(differences * differences, axis)
+    squares = _sum_squares(differences, keep)
     return np.sqrt(squares / (differences.size // np.size(squares)))
 
 
-def _mse_measure(differences, reference_values, axis=None):
+def _mse_measure(differences, reference_values, keep=None):
     if np.size(differences) == 0:
         raise ValueError("empty selection")
-    denom = _sum(_squared_magnitude(reference_values), axis)
+    denom = _sum_squares(reference_values, keep)
     if np.any(denom == 0.0):
         raise ValueError("reference selection is identically zero; MSE undefined")
-    return _sum(_squared_magnitude(differences), axis) / denom
+    return _sum_squares(differences, keep) / denom

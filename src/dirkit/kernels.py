@@ -367,9 +367,11 @@ def fourier_basis(order, x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], order), dtype=np.float64)
     out[:, 0] = 1.0
-    for k in range(1, order):
-        arg = 2.0 * np.pi * ((k + 1) // 2) * x
-        out[:, k] = np.cos(arg) if k % 2 == 1 else np.sin(arg)
+    # Harmonics m = 1 .. order//2 in one C-contiguous argument grid: a
+    # strided argument takes another ufunc loop, whose last bits can differ.
+    arg = x[:, None] * (2.0 * np.pi * np.arange(1, order // 2 + 1, dtype=np.float64))
+    out[:, 1::2] = np.cos(arg)
+    out[:, 2::2] = np.sin(arg)[:, : (order - 1) // 2]
     return out
 
 

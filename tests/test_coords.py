@@ -638,6 +638,16 @@ def test_vectorized_conversion_matches_scalar():
                 assert type(lon) is float and type(lat) is float
                 assert longitude[i] == pytest.approx(lon, abs=1e-12)
                 assert latitude[i] == pytest.approx(lat, abs=1e-12)
+        # The great-circle angle follows the same rule, from either side.
+        for angles in (
+            great_circle_angle(first, second, 30.0, -40.0),
+            great_circle_angle(30.0, -40.0, first, second),
+        ):
+            assert (type(angles), angles.shape) == (np.ndarray, shape)
+            pairs = zip(*(v.reshape(-1) for v in np.broadcast_arrays(first, second)))
+            for angle, (a, b) in zip(angles.reshape(-1), pairs):
+                scalar = great_circle_angle(float(a), float(b), 30.0, -40.0)
+                assert type(scalar) is float and angle == scalar
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Diffs and error measures against hand-computed closed forms."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -411,13 +412,14 @@ class _FixedRead(Directivity):
     """Serves one stored array as every read, unlike the built-in
     representations: a read a diff must not write into."""
 
-    def __init__(self, coords, values):
+    def __init__(self, coords, values, datatype=DataType.LOG_MAGNITUDE):
         super().__init__("fixed", coords)
         self.values = values
+        self.datatype = datatype
 
     @property
     def supported_datatypes(self):
-        return frozenset({DataType.LOG_MAGNITUDE})
+        return frozenset({self.datatype})
 
     def get_data_matrix(self, requested, datatype):
         return DataVolume(self.values, self.coords, datatype)
@@ -616,3 +618,129 @@ def test_zero_reference_horizontal_azimuth_is_rejected():
     assert np.isfinite(diff.compute_mse())
     with pytest.raises(ValueError, match="identically zero"):
         diff.error_horizontal("mse")
+
+
+# --------------------------------------------------------------------------
+# sums of squares: no squared copy, extended-precision accuracy, overflow
+# --------------------------------------------------------------------------
+
+MEASURES = [
+    (DataType.LOG_MAGNITUDE, "sd"),
+    (DataType.LINEAR_MAGNITUDE, "mse"),
+    (DataType.COMPLEX_SPECTRUM, "mse"),
+]
+MEASURE_IDS = ["log-sd", "lin-mse", "complex-mse"]
+
+
+def _aggregates(diff, measure):
+    """Every built-in aggregate of one measure, as zero-argument calls."""
+    total = diff.compute_sd if measure == "sd" else diff.compute_mse
+    return {
+        "total": total,
+        "per-bin": lambda: diff.error_vs_frequency(measure),
+        "horizontal": lambda: diff.error_horizontal(measure),
+    }
+
+
+@pytest.mark.parametrize("datatype, measure", MEASURES, ids=MEASURE_IDS)
+def test_aggregates_allocate_no_squared_volume(datatype, measure):
+    # 72 azimuths on 10 rings: 720 x 64 x 2 cells. The horizontal mode
+    # copies only its ring's rows, a tenth of the volume, of both the
+    # differences and the reference.
+    directions = [(5.0 * a, el) for el in range(-40, 60, 10) for a in range(72)]
+    rng = np.random.default_rng(SEED + 50)
+    ref, eva = (
+        RawIRs("", rng.standard_normal((720, 126, 2)), 16000.0, directions, (1.0, 2.0))
+        for _ in range(2)
+    )
+    diff = DirectivityDiff("", ref, eva, datatype=datatype)
+    assert diff.differences.shape == (720, 64, 2)
+    volume_bytes = diff.differences.nbytes
+    for name, call in _aggregates(diff, measure).items():
+        call()  # anything built once per diff is built before tracing
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < volume_bytes / 4, (name, peak, volume_bytes)
+
+
+def _longdouble_squares(values):
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        real, imag = (v.astype(np.longdouble) for v in (values.real, values.imag))
+        return real**2 + imag**2
+    return values.astype(np.longdouble) ** 2
+
+
+def _longdouble_measure(measure, differences, reference, axis=None):
+    squares = _longdouble_squares(differences).sum(axis=axis)
+    if measure == "sd":
+        return np.sqrt(squares / (differences.size // np.size(squares)))
+    return squares / _longdouble_squares(reference).sum(axis=axis)
+
+
+@pytest.mark.parametrize("datatype, measure", MEASURES, ids=MEASURE_IDS)
+def test_aggregates_match_a_longdouble_reference(datatype, measure):
+    # Values from 1e-3 to 1e3 in magnitude, signed in dB, with random phase
+    # for complex spectra; the horizontal ring is stored out of order.
+    rings = (-50.0, 0.0, 20.0, 70.0)
+    directions = [(10.0 * ((7 * a) % 36), el) for el in rings for a in range(36)]
+    coords = CoordinateSet(
+        directions=directions, frequencies=250.0 * np.arange(1, 41), distances=(1.0, 2.0)
+    )
+    rng = np.random.default_rng(SEED + 51)
+
+    def volume():
+        magnitude = 10.0 ** rng.uniform(-3.0, 3.0, coords.shape)
+        if datatype is DataType.LOG_MAGNITUDE:
+            return magnitude * rng.choice([-1.0, 1.0], coords.shape)
+        if datatype is DataType.LINEAR_MAGNITUDE:
+            return magnitude
+        return magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coords.shape))
+
+    ref = _FixedRead(coords, volume(), datatype)
+    diff = DirectivityDiff("", ref, _FixedRead(coords, volume(), datatype), datatype=datatype)
+    d, r = diff.differences, diff.reference_values
+    total = diff.compute_sd if measure == "sd" else diff.compute_mse
+
+    def check(got, want):
+        np.testing.assert_allclose(got, want.astype(np.float64), rtol=1e-13, atol=0.0)
+
+    check(total(), _longdouble_measure(measure, d, r))
+    d_sel, f_sel, r_sel = [3, 40, 41, 100, 143], [0, 7, 8, 39], [1]
+    over = CoordinateSet(
+        directions=[directions[i] for i in d_sel],
+        frequencies=[coords.frequencies[j] for j in f_sel],
+        distances=[coords.distances[k] for k in r_sel],
+    )
+    cells = np.ix_(d_sel, f_sel, r_sel)
+    check(total(over), _longdouble_measure(measure, d[cells], r[cells]))
+    for freq_range, bins in ((None, slice(None)), ((2000.0, 6000.0), slice(7, 24))):
+        freqs, errors = diff.error_vs_frequency(measure, freq_range)
+        np.testing.assert_array_equal(freqs, coords.frequency_array[bins])
+        check(errors, _longdouble_measure(measure, d[:, bins], r[:, bins], axis=(0, 2)))
+        azimuths, errors = diff.error_horizontal(measure, freq_range)
+        rows = [directions.index((az, 0.0)) for az in azimuths]
+        assert list(azimuths) == sorted(azimuths) and len(rows) == 36
+        ring_d, ring_r = d[rows][:, bins], r[rows][:, bins]
+        check(errors, _longdouble_measure(measure, ring_d, ring_r, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("datatype, measure", MEASURES, ids=MEASURE_IDS)
+def test_overflowing_sums_of_squares_are_errors(datatype, measure):
+    # Impulses of 3e160 against 1e160, where the reference's squares
+    # overflow too, or against 1, where only the differences' do. Log reads
+    # are bounded, so the SD case serves log values of 1e160.
+    directions = [(0.0, 0.0), (120.0, 0.0), (240.0, 0.0)]
+    for ref_gain in (1e160, 1.0):
+        ref = impulse_set([ref_gain] * 3, directions)
+        eva = impulse_set([3e160] * 3, directions)
+        if datatype is DataType.LOG_MAGNITUDE:
+            eva = _FixedRead(ref.coords, np.full(ref.coords.shape, 1e160))
+        diff = DirectivityDiff("", ref, eva, datatype=datatype)
+        for call in _aggregates(diff, measure).values():
+            with pytest.raises(ValueError, match="overflows float64"):
+                call()

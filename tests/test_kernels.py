@@ -280,6 +280,18 @@ def test_fourier_basis_matches_formula(order):
     np.testing.assert_allclose(got, _fourier_oracle(order, x), atol=1e-14)
 
 
+def test_fourier_basis_equals_the_per_column_formula_bit_for_bit():
+    # The matrix is filled by one cos and one sin call over all harmonics;
+    # every column must equal its own per-column evaluation exactly.
+    rng = np.random.default_rng(SEED + 4)
+    grids = [np.zeros(0), np.array([0.3])]
+    for n in (7, 128, 1000):
+        grids += [np.linspace(0.0, 1.0, n), rng.uniform(-3.0, 3.0, n), np.geomspace(1e-6, 50.0, n)]
+    for x in grids:
+        for order in range(1, 66):
+            assert np.array_equal(fourier_basis(order, x), _fourier_oracle(order, x))
+
+
 @pytest.mark.parametrize("order", [1, 2, 5, 8])
 def test_cosine_basis_matches_formula(order):
     rng = np.random.default_rng(SEED + 3)
