@@ -19,12 +19,13 @@ Matrix Computations, ch. 5). A design whose numerical rank, at the
 cut-off S.max() * max(N, K) * eps of the least-squares solvers, is below
 K is rejected.
 
-A fitted model keeps the source's validated directions and distances as
-they are: its coordinate set holds the source's directions, an array of
-(azimuth, elevation) rows, and with it the search index and cached read
-at those directions that the fit's read at the source builds, so fitting
-many orders builds them once and a read there does no search. The
-coefficients are stored C-contiguous, and a read gathers the rows it
+A fitted model is built by the public constructor, like any other, from
+the source's stored directions and distances, which it checks. Its
+coordinate set keeps the source's directions holder as it is, an array
+of (azimuth, elevation) rows, and with it the search index and cached
+read at those directions that the fit's read at the source builds, so
+fitting many orders builds them once and a read there does no search.
+The coefficients are stored C-contiguous, and a read gathers the rows it
 needs with `core.gather` before one matrix product.
 
 Linear and power reads convert that product where it stands, as
@@ -109,32 +110,11 @@ class BasisSpectrumModel(Directivity):
                 f"coefficients shape {coefficients.shape} does not match "
                 f"{len(coords.directions)} directions and {len(coords.distances)} distances"
             )
-        self._setup(info, family, coefficients, bins, coords)
-
-    def _setup(self, info, family, coefficients, bins, coords):
         super().__init__(info, coords)
         self._family = family
         # C order, so that a read's gather never copies the whole array first.
         self._coefficients = np.ascontiguousarray(coefficients)
         self._bins = bins
-
-    @classmethod
-    def _fitted(cls, info, family, coefficients, fitted_on):
-        """The model fitted at the validated request `fitted_on`.
-
-        Equal to the public constructor's model, but its coordinates are
-        not validated again.
-        """
-        _check_finite(coefficients)
-        coords = CoordinateSet._unchecked(
-            fitted_on.directions,
-            (fitted_on.frequencies[0], fitted_on.frequencies[-1]),
-            fitted_on.distances,
-            Continuity(False, True, False),
-        )
-        model = cls.__new__(cls)
-        model._setup(info, family, coefficients, fitted_on.frequencies, coords)
-        return model
 
     @property
     def family(self):
@@ -220,10 +200,9 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
         raise ValueError(f"order {order} exceeds the {n} bins available for fitting")
 
     stored = source.coords
-    # Part of validated coordinates needs no second check; either way the
-    # request keeps the stored directions, so the read takes their self-snap.
-    build = CoordinateSet._unchecked if stored._validated else CoordinateSet
-    requested = build(stored.directions, fit_bins, stored.distances)
+    # The request keeps the stored directions, so the read takes their
+    # self-snap; the model's constructor checks them.
+    requested = CoordinateSet._unchecked(stored.directions, fit_bins, stored.distances)
     volume = source.get_data_matrix(requested, DataType.LOG_MAGNITUDE)
 
     x = np.arange(n, dtype=np.float64) / n
@@ -238,4 +217,6 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     # coefficients in (D, K, R) order.
     projection = np.linalg.solve(r, q.T)
     coefficients = np.matmul(projection, volume.values)
-    return BasisSpectrumModel._fitted(info, family, coefficients, requested)
+    return BasisSpectrumModel(
+        info, family, coefficients, fit_bins, stored.directions, stored.distances
+    )

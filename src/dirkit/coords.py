@@ -288,9 +288,6 @@ class CoordinateSet:
             dists = _ascending(dists or (1.0,), "distance", 0.0, strict_min=True)
         _set_values(self, freqs, dists)
 
-    # False on sets built by `_unchecked`.
-    _validated = True
-
     def __setstate__(self, state):
         vars(self).update(state)
         for vals in self._values:  # pickle brings arrays back writeable
@@ -302,7 +299,6 @@ class CoordinateSet:
         obj = object.__new__(cls)
         continuity = Continuity(*continuity)
         dirs = tuple(directions) if continuity.direction else _as_directions(directions)
-        object.__setattr__(obj, "_validated", False)
         object.__setattr__(obj, "directions", dirs)
         _set_values(obj, frequencies, distances)
         object.__setattr__(obj, "continuity", continuity)
@@ -366,17 +362,19 @@ def _snap_directions(base, requested):
     return idx, _Directions(stored.pairs.take(idx, axis=0))
 
 
-def _snap_values(base, base_continuous, req, ascending=False):
+def _snap_values(base, base_continuous, req):
     """(indices, values) of requested values on stored ones: the nearest
     stored ones, or, with no indices (None), the requested ones clamped
     into continuous limits. The values come back as a float64 array.
 
-    When the stored values are known to ascend strictly (`ascending`), a
-    request of the non-empty stored array itself lands on it, as a
-    search would."""
+    A request of the non-empty stored array itself lands on it with no
+    search when its values ascend strictly, checked or not: they are then
+    distinct, so each one's nearest is itself, as a search would find. A
+    nan fails the check, and repeated values are searched, so each lands
+    on the first equal one."""
     if base_continuous:
         return None, np.clip(req, base[0], base[1])
-    if ascending and req is base and base.shape[0]:
+    if req is base and base.shape[0] and np.logical_and.reduce(base[1:] > base[:-1]):
         return np.arange(base.shape[0]), base
     idx = kernels.nearest_value(base, req)
     return idx, base.take(idx)
@@ -436,8 +434,8 @@ def discrete_read_indices(stored, requested):
     d_idx, dirs = _snap_directions(stored, requested)
     (f_base, r_base), (f_req, r_req) = stored._values, requested._values
     _, f_continuous, r_continuous = stored.continuity
-    f_idx, freqs = _snap_values(f_base, f_continuous, f_req, stored._validated)
-    r_idx, dists = _snap_values(r_base, r_continuous, r_req, stored._validated)
+    f_idx, freqs = _snap_values(f_base, f_continuous, f_req)
+    r_idx, dists = _snap_values(r_base, r_continuous, r_req)
     actual = CoordinateSet._unchecked(dirs, freqs, dists, DISCRETE)
     return d_idx, f_idx, r_idx, actual
 

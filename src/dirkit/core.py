@@ -242,8 +242,9 @@ class Directivity(ABC):
         if not datatype.is_spectral:
             raise ValueError("spectrum_series needs a spectral datatype")
         distance = float(distance)
-        # Checked as a CoordinateSet would check them; the stored bins are
-        # checked already, and a read of them lands on them.
+        # Checked as a CoordinateSet would check them. The stored bins are
+        # read as they are: a read at its own strictly ascending bins lands
+        # on them with no search, and repeated bins are searched.
         dirs = _as_directions((direction,))
         if self.coords.continuity.frequency:
             lo, hi = self.coords.frequencies
