@@ -245,7 +245,9 @@ class DirectivityDiff(Directivity):
         azimuths = self.coords.azimuth_array[selected]
         order = np.argsort(azimuths, kind="stable")
         rows = selected[order]
-        errors = _per_slice(fn, self._diff[rows, bins], self._reference[rows, bins], keep=0)
+        # SD reads no reference values.
+        ref = self._reference if fn is _sd_measure else self._reference[rows, bins]
+        errors = _per_slice(fn, self._diff[rows, bins], ref, keep=0)
         return azimuths[order], errors
 
 

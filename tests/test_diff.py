@@ -645,8 +645,8 @@ def _aggregates(diff, measure):
 @pytest.mark.parametrize("datatype, measure", MEASURES, ids=MEASURE_IDS)
 def test_aggregates_allocate_no_squared_volume(datatype, measure):
     # 72 azimuths on 10 rings: 720 x 64 x 2 cells. The horizontal mode
-    # copies only its ring's rows, a tenth of the volume, of both the
-    # differences and the reference.
+    # copies only its ring's rows, a tenth of the volume, of the
+    # differences and, for MSE, of the reference: SD reads no reference.
     directions = [(5.0 * a, el) for el in range(-40, 60, 10) for a in range(72)]
     rng = np.random.default_rng(SEED + 50)
     ref, eva = (
@@ -664,7 +664,8 @@ def test_aggregates_allocate_no_squared_volume(datatype, measure):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < volume_bytes / 4, (name, peak, volume_bytes)
+        bound = 0.15 if (measure, name) == ("sd", "horizontal") else 0.25
+        assert peak < bound * volume_bytes, (name, peak, volume_bytes)
 
 
 def _longdouble_squares(values):

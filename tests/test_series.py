@@ -13,11 +13,14 @@ from dirkit import (
     CoordinateSet,
     DataType,
     Directivity,
+    DirectivityDiff,
     RawIRs,
     SynthSpec,
     fit_basis_model,
     synth_test_set,
 )
+from dirkit import kernels
+from dirkit.coords import discrete_read_indices
 from dirkit.core import DataVolume
 
 SEED = 20240817
@@ -78,6 +81,55 @@ def test_a_long_series_keeps_its_memory_bounded():
         tracemalloc.stop()
     assert volume.values[0, :, 0].tobytes() == series.values.tobytes()
     assert peak < 16 * 2**20
+
+
+def _spy_value_searches(monkeypatch):
+    """(stored, requested) sizes of every kernels.nearest_value call."""
+    calls = []
+    search = kernels.nearest_value
+
+    def spy(base, req):
+        calls.append((len(base), len(req)))
+        return search(base, req)
+
+    monkeypatch.setattr(kernels, "nearest_value", spy)
+    return calls
+
+
+def test_a_series_at_own_ascending_bins_searches_no_value(monkeypatch):
+    # A diff's coordinates are a read's, built unchecked; its bins ascend
+    # strictly all the same, so its series lands on them as a raw set's does.
+    raw = synth_test_set(SynthSpec(mode="lowpass", length=64))
+    diff = DirectivityDiff("", raw, fit_basis_model("", raw, "fourier", 4))
+    calls = _spy_value_searches(monkeypatch)
+    series = [obj.spectrum_series((91.0, 2.0)) for obj in (raw, diff)]
+    # One search each, of the requested distance among the stored one.
+    assert calls == [(1, 1), (1, 1)]
+    for obj, got in zip((raw, diff), series):
+        np.testing.assert_array_equal(got.frequencies, obj.coords.frequency_array)
+        want = obj.get_data_matrix(got.coords, DataType.LOG_MAGNITUDE).values[0, :, 0]
+        assert got.values.tobytes() == want.tobytes()
+
+
+def test_a_read_at_own_repeated_bins_lands_on_the_first(monkeypatch):
+    # Bins every 750 Hz: 700 and 800 Hz both land on 750, so the diff
+    # stores that bin twice, and a read at its own bins searches them.
+    raw = synth_test_set(SynthSpec(mode="lowpass", length=64))
+    at = CoordinateSet(
+        directions=raw.coords.directions,
+        frequencies=(700.0, 800.0, 1500.0),
+        distances=raw.coords.distances,
+    )
+    diff = DirectivityDiff("", raw, raw, at=at)
+    assert diff.coords.frequencies == (750.0, 750.0, 1500.0)
+    calls = _spy_value_searches(monkeypatch)
+    _, f_idx, _, actual = discrete_read_indices(diff.coords, diff.coords)
+    assert f_idx.tolist() == [0, 0, 2]
+    assert actual.frequencies == diff.coords.frequencies
+    series = diff.spectrum_series((0.0, 0.0))
+    assert series.frequencies.tolist() == [750.0, 750.0, 1500.0]
+    # The bins twice, and the requested distance among the stored one.
+    assert calls == [(3, 3), (3, 3), (1, 1)]
 
 
 def test_series_direction_is_coerced_and_reported():
