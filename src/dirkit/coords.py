@@ -368,10 +368,9 @@ def _snap_values(base, base_continuous, req):
     into continuous limits. The values come back as a float64 array.
 
     A request of the non-empty stored array itself lands on it with no
-    search when its values ascend strictly, checked or not: they are then
-    distinct, so each one's nearest is itself, as a search would find. A
-    nan fails the check, and repeated values are searched, so each lands
-    on the first equal one."""
+    search when its values ascend strictly: distinct values are each
+    their own nearest, as a search finds. Repeated values, or a nan, are
+    searched, so each repeat lands on the first equal one."""
     if base_continuous:
         return None, np.clip(req, base[0], base[1])
     if req is base and base.shape[0] and np.logical_and.reduce(base[1:] > base[:-1]):

@@ -669,3 +669,13 @@ def test_fitting_unvalidated_coordinates_checks_them_as_before():
     diff = DirectivityDiff("", raw, raw)
     with pytest.raises(ValueError, match=r"duplicate direction \(0\.0, 90\.0\)"):
         fit_basis_model("", diff, "fourier", 2)
+    # Two requested bins that land on one stored bin, and two requested
+    # distances that land on one stored distance.
+    ring = synth_test_set(SynthSpec(mode="lowpass", length=64))
+    for freqs, dists, message in (
+        ((700.0, 800.0, 1500.0), (1.0,), r"not strictly ascending at 750\.0, 750\.0"),
+        ((700.0, 1500.0), (0.5, 0.7), r"distance vector not strictly ascending at 1\.0, 1\.0"),
+    ):
+        at = CoordinateSet(directions=ring.coords.directions, frequencies=freqs, distances=dists)
+        with pytest.raises(ValueError, match=message):
+            fit_basis_model("", DirectivityDiff("", ring, ring, at=at), "fourier", 1)
