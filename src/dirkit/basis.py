@@ -22,9 +22,10 @@ K is rejected.
 A fitted model is built by the public constructor, like any other, from
 the source's stored directions and distances, which it checks. Its
 coordinate set keeps the source's directions holder as it is, an array
-of (azimuth, elevation) rows, and with it the search index and cached
-read at those directions that the fit's read at the source builds, so
-fitting many orders builds them once and a read there does no search.
+of (azimuth, elevation) rows, and with it the repeat verdict the source
+kept and the search index and cached read at those directions that the
+fit's read at the source builds, so fitting many orders checks and
+builds them once and a read there does no search.
 The coefficients are stored C-contiguous, and a read gathers the rows it
 needs with `core.gather` before one matrix product.
 
@@ -201,7 +202,7 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
 
     stored = source.coords
     # The request keeps the stored directions, so the read takes their
-    # self-snap; the model's constructor checks them.
+    # self-snap; the model's constructor takes their kept repeat verdict.
     requested = CoordinateSet._unchecked(stored.directions, fit_bins, stored.distances)
     volume = source.get_data_matrix(requested, DataType.LOG_MAGNITUDE)
 

@@ -49,17 +49,22 @@ def _load(path, receiver=0):
     )
 
 
-def _emit_series(out, series_list, *, x_name, y_name, x_log, title):
+def _write_output(out, writers):
+    """Write `out` by the function of the path its suffix picks in `writers`."""
     suffix = Path(out).suffix.lower()
-    if suffix == ".csv":
-        series_csv(out, series_list, x_name, y_name)
-    elif suffix == ".svg":
-        line_plot_svg(
-            out, series_list, title=title, x_name=x_name, y_name=y_name, x_log=x_log
-        )
-    else:
-        raise ValueError(f"unsupported output format {suffix!r} (use .csv or .svg)")
+    if suffix not in writers:
+        raise ValueError(f"unsupported output format {suffix!r} (use {' or '.join(writers)})")
+    writers[suffix](out)
     print(f"wrote {out}")
+
+
+def _emit_series(out, series_list, *, x_name, y_name, x_log, title):
+    _write_output(out, {
+        ".csv": lambda path: series_csv(path, series_list, x_name, y_name),
+        ".svg": lambda path: line_plot_svg(
+            path, series_list, title=title, x_name=x_name, y_name=y_name, x_log=x_log
+        ),
+    })
 
 
 def _freq_range(args):
@@ -237,16 +242,11 @@ def cmd_extract_ir(args):
         f"extracted {len(vector)} samples at ({direction.azimuth:g}, "
         f"{direction.elevation:g}) deg, {actual.distances[0]:g} m"
     )
-    suffix = Path(args.output).suffix.lower()
-    if suffix == ".wav":
-        write_wav(args.output, vector, obj.sample_rate)
-    elif suffix == ".csv":
-        times = actual.frequency_array
-        rows = [(i, times[i], vector[i]) for i in range(len(vector))]
-        write_csv(args.output, ("sample_index", "time_s", "amplitude"), rows)
-    else:
-        raise ValueError(f"unsupported output format {suffix!r} (use .wav or .csv)")
-    print(f"wrote {args.output}")
+    rows = zip(range(len(vector)), actual.frequency_array, vector)
+    _write_output(args.output, {
+        ".wav": lambda path: write_wav(path, vector, obj.sample_rate),
+        ".csv": lambda path: write_csv(path, ("sample_index", "time_s", "amplitude"), rows),
+    })
     return 0
 
 
@@ -256,30 +256,24 @@ def cmd_balloon(args):
     grid = obj.balloon_grid(args.frequency, args.distance, datatype)
     actual_freq = grid.coords.frequencies[0]
     print(f"balloon read at {actual_freq:g} Hz")
-    suffix = Path(args.output).suffix.lower()
     azimuths, elevations = grid.coords.azimuth_array, grid.coords.elevation_array
-    if suffix == ".csv":
-        rows = zip(azimuths.tolist(), elevations.tolist(), grid.values)
-        write_csv(
-            args.output, ("azimuth_deg", "elevation_deg", _Y_NAMES[datatype]), rows
-        )
-    elif suffix == ".svg":
+    y_name = _Y_NAMES[datatype]
+
+    def ring_svg(path):
         ring = np.abs(elevations - args.ring_elevation) <= 1e-6
         if not np.any(ring):
             raise ValueError(
                 f"no stored directions at elevation {args.ring_elevation:g}; "
                 f"use a .csv output for the full grid"
             )
-        polar_plot_svg(
-            args.output,
-            azimuths[ring],
-            grid.values[ring],
-            title=args.title or f"{_Y_NAMES[datatype]} at {actual_freq:g} Hz",
-            value_name=_Y_NAMES[datatype],
-        )
-    else:
-        raise ValueError(f"unsupported output format {suffix!r} (use .csv or .svg)")
-    print(f"wrote {args.output}")
+        title = args.title or f"{y_name} at {actual_freq:g} Hz"
+        polar_plot_svg(path, azimuths[ring], grid.values[ring], title=title, value_name=y_name)
+
+    rows = zip(azimuths.tolist(), elevations.tolist(), grid.values)
+    _write_output(args.output, {
+        ".csv": lambda path: write_csv(path, ("azimuth_deg", "elevation_deg", y_name), rows),
+        ".svg": ring_svg,
+    })
     return 0
 
 

@@ -57,7 +57,7 @@ class _Directions(Sequence):
     (azimuth, elevation) rows, with its columns `azimuths` and
     `elevations`. It acts as a tuple of `Direction`s, made on its first
     iteration or indexing (`len` makes none). Every set holding this very
-    object shares its search index and self-read."""
+    object shares its repeat verdict, search index and self-read."""
 
     __slots__ = ("pairs", "azimuths", "elevations", "__dict__")
 
@@ -98,6 +98,23 @@ class _Directions(Sequence):
 
     def __repr__(self):
         return repr(self._items)
+
+    @cached_property
+    def first_repeat(self):
+        """(i, j) of the first exact repeat, or None: j is the lowest row
+        equal to an earlier row, i the first row equal to it. Each pair is
+        one complex key, so one sort finds a repeat; a stable sort, which
+        keeps equal keys in row order, runs only to name it. Kept once per
+        holder, the verdict serves every set built on it."""
+        keys = self.pairs.view(np.complex128).ravel()
+        ordered = keys.copy()
+        ordered.sort()
+        if not np.count_nonzero(ordered[1:] == ordered[:-1]):
+            return None
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        j = int(order[1:][ordered[1:] == ordered[:-1]].min())
+        return int(np.flatnonzero(keys == keys[j])[0]), j
 
     @cached_property
     def search_index(self):
@@ -256,16 +273,9 @@ class CoordinateSet:
                 raise ValueError(f"elevation limits {dirs} outside [-90, +90]")
         else:
             dirs = _as_directions(self.directions)
-            # Each pair as one complex key: a sort finds a repeat, and a stable
-            # sort, which keeps equal keys in input order, names the first.
-            keys = dirs.pairs.view(np.complex128).ravel()
-            ordered = keys.copy()
-            ordered.sort()
-            if np.count_nonzero(ordered[1:] == ordered[:-1]):
-                order = np.argsort(keys, kind="stable")
-                ordered = keys[order]
-                first = order[1:][ordered[1:] == ordered[:-1]].min()
-                raise ValueError(f"duplicate direction {tuple(dirs.pairs[first].tolist())}")
+            if dirs.first_repeat is not None:
+                _, j = dirs.first_repeat
+                raise ValueError(f"duplicate direction {tuple(dirs.pairs[j].tolist())}")
         object.__setattr__(self, "directions", dirs)
 
         if cont.frequency:

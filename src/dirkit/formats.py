@@ -79,6 +79,7 @@ def _unescape(path, text, line_no):
 class _LineReader:
     def __init__(self, path, text):
         self.path = path
+        self.chars = len(text)
         self.lines = text.split("\n")
         if self.lines and self.lines[-1] == "":
             self.lines.pop()
@@ -121,13 +122,17 @@ class _LineReader:
     def rows(self, count, planes, expected, keyword, width, what):
         """Read `planes` * `count` `expected` lines, plane slow and row fast,
         as `values` reads each, into a new (count, width, planes) array: by
-        `_fast_rows` when it accepts them all, else line by line."""
-        if len(self.lines) - self.pos >= count * planes:
+        `_fast_rows` when it accepts them all, else line by line. The array
+        is made only if the text can hold its values, at two or more
+        characters each (a space and a digit), so an oversize header meets
+        the strict reader's error, not an allocation."""
+        n = count * planes
+        if len(self.lines) - self.pos >= n and 2 * n * width <= self.chars:
             out = np.empty((count, width, planes))
             if _fast_rows(itertools.islice(self.lines, self.pos, None), keyword, out):
-                self.pos += count * planes
+                self.pos += n
                 return out
-        parsed = [self.values(expected, keyword, width, what) for _ in range(count * planes)]
+        parsed = [self.values(expected, keyword, width, what) for _ in range(n)]
         return np.ascontiguousarray(
             np.reshape(parsed, (planes, count, width)).transpose(1, 2, 0)
         )

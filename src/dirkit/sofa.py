@@ -3,14 +3,17 @@
 Read-only and deliberately narrow: only the SimpleFreeFieldHRIR
 convention with the default units (source positions in degree, degree,
 metre; sampling rate in hertz) is accepted, anything else is rejected
-naming the offending item. One RawIRs per receiver is returned. The
-h5py dependency is imported lazily so the rest of the package works
-without it.
+naming the offending item. Measurements are grouped by distance, in
+ascending order; each distance's directions are checked and wrapped as
+a coordinate set's are, then searched for a repeat, which is named with
+its two rows in the file. Every distance must hold the same directions.
+One RawIRs per receiver is returned. The h5py dependency is imported
+lazily so the rest of the package works without it.
 """
 
 import numpy as np
 
-from .coords import _wrap_degrees
+from .coords import _as_directions
 from .errors import SofaError
 from .rawirs import RawIRs
 
@@ -94,9 +97,8 @@ def _source_positions(path, handle, measurement_count):
 
 def _group_by_distance(path, positions):
     """Split measurement rows by distance; returns (directions, distances,
-    row-index array of shape (D, R))."""
-    azimuths = _wrap_degrees(positions[:, 0].copy()).tolist()
-    elevations = positions[:, 1].tolist()
+    row-index array of shape (D, R)). Each distance's directions are
+    checked and wrapped as a coordinate set's are, and must not repeat."""
     distances = positions[:, 2]
     unique_dists = np.unique(distances)
     if np.any(unique_dists <= 0):
@@ -105,17 +107,19 @@ def _group_by_distance(path, positions):
     groups = []
     for dist in unique_dists:
         rows = np.flatnonzero(distances == dist)
-        table = {}
-        for row in rows:
-            key = (azimuths[row], elevations[row])
-            if key in table:
-                raise SofaError(
-                    path,
-                    f"duplicate direction {key} at distance {dist} "
-                    f"(rows {table[key]} and {row})",
-                )
-            table[key] = row
-        groups.append(table)
+        try:
+            dirs = _as_directions(positions[rows, :2])
+        except ValueError as exc:
+            raise SofaError(path, f"inconsistent contents: {exc}") from exc
+        if dirs.first_repeat is not None:
+            i, j = dirs.first_repeat
+            raise SofaError(
+                path,
+                f"duplicate direction {tuple(dirs.pairs[j].tolist())} at distance "
+                f"{dist} (rows {rows[i]} and {rows[j]})",
+            )
+        # Row of each direction, keyed on its wrapped pair, to align distances.
+        groups.append(dict(zip(map(tuple, dirs.pairs.tolist()), rows.tolist())))
 
     canonical = list(groups[0].keys())
     index = np.empty((len(canonical), len(unique_dists)), dtype=np.int64)

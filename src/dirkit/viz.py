@@ -70,10 +70,16 @@ def _px(value):
 
 
 def _nice_ticks(lo, hi, target=6):
+    """About `target` ticks at round multiples over [lo, hi], at most a
+    few more for any finite lo < hi."""
     if hi <= lo:
         return [lo]
     raw_step = (hi - lo) / max(target, 2)
-    mag = 10.0 ** math.floor(math.log10(raw_step))
+    # A span past float64's range, or of a few subnormals, has no
+    # power-of-ten step: its ends are its ticks.
+    mag = 10.0 ** math.floor(math.log10(raw_step)) if 0.0 < raw_step < math.inf else 0.0
+    if mag == 0.0:
+        return [lo, hi]
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if raw_step <= step:
@@ -83,6 +89,8 @@ def _nice_ticks(lo, hi, target=6):
     v = first
     while v <= hi + step * 1e-9:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
+        if v + step == v:  # the step is below half the spacing of floats at v
+            break
         v += step
     return ticks
 

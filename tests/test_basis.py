@@ -1,5 +1,6 @@
 """Basis spectrum models: design matrices, fitting, continuous reads."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -551,6 +552,26 @@ def test_fits_and_diffs_build_the_index_once(monkeypatch):
     # read at the source's own tuple.
     assert builds == [48]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(sds, sds[1:]))
+
+
+def test_fits_take_the_repeat_verdict_of_their_source():
+    raw = _polar_grid_raw(SEED + 54)
+    fit_basis_model("", raw, "fourier", 1)  # the spectra, the index and the self-read
+    sorts = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__.endswith("sort"):
+            sorts.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        models = [fit_basis_model("", raw, "fourier", order) for order in (2, 4, 8)]
+    finally:
+        sys.setprofile(None)
+    # The repeat scan sorts the direction keys. It ran on the source's
+    # holder when the source was built, and each model keeps that holder.
+    assert sorts == []
+    assert all(model.coords.directions is raw.coords.directions for model in models)
 
 
 def test_fits_share_the_direction_index_of_their_source(monkeypatch):

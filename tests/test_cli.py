@@ -373,6 +373,14 @@ def test_spectrum_of_overflowing_responses_fails_with_error_line(tmp_path, capsy
     assert not out.exists()
 
 
+def test_an_oversize_dird_header_fails_with_error_line(tmp_path, capsys):
+    big = tmp_path / "big.dird"
+    big.write_text("DIRD 1\nfs 48000 D 1 L 1000000000000 R 1\ninfo\ndist 1\ndir 0 0\nir 0 0\n")
+    code, stdout, stderr = run(["info", str(big)], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {big}:6: 'ir' line carries 2 values, expected 1000000000000\n"
+
+
 def test_failed_commands_do_not_write_output(workspace, capsys):
     tmp_path, dird, dirm = workspace
     out = tmp_path / "d.csv"

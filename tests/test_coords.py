@@ -25,7 +25,7 @@ from dirkit import (
     synth_test_set,
 )
 from dirkit import kernels
-from dirkit.coords import discrete_read_indices
+from dirkit.coords import _as_directions, discrete_read_indices
 from dirkit.formats import read_dird, write_dird
 from dirkit.rawirs import RawIRs
 
@@ -380,8 +380,9 @@ def test_crowded_directions_keep_the_search_answer():
 
 def test_direction_arrays_are_fresh_copies():
     cs = CoordinateSet(directions=[(10.0, 20.0), (30.0, -40.0)], frequencies=(100.0,))
-    # The caches on the directions are built on first use.
-    assert not vars(cs.directions)
+    # Construction keeps the repeat verdict at most; the search caches
+    # and the Direction items are built on first use.
+    assert set(vars(cs.directions)) <= {"first_repeat"}
     cs.azimuth_array[:] = 0.0
     cs.elevation_array[:] = 0.0
     np.testing.assert_array_equal(cs.azimuth_array, [10.0, 30.0])
@@ -781,6 +782,22 @@ def test_array_direction_validation_matches_the_per_element_rule(values):
         for value, pair in zip(values, expected):
             direction = value if isinstance(value, Direction) else Direction(*value)
             assert (direction.azimuth, direction.elevation) == pair
+
+
+@PROPERTY
+@given(pairs=st.lists(
+    st.tuples(st.sampled_from([0.0, -0.0, 10.0, 370.0, -350.0]),
+              st.sampled_from([0.0, -0.0, 45.0, 90.0])),
+    max_size=10,
+))
+def test_first_repeat_names_the_lowest_repeat_and_its_first_copy(pairs):
+    expected, rows = None, {}
+    for j, pair in enumerate(map(_reference_direction, pairs)):
+        if pair in rows:
+            expected = (rows[pair], j)
+            break
+        rows[pair] = j
+    assert _as_directions(pairs).first_repeat == expected
 
 
 def _reference_ascending(values, what, minimum, strict_min):

@@ -347,6 +347,15 @@ def test_short_sample_line_rejected(tmp_path, dird_lines):
     _expect_error(tmp_path, lines, 8)
 
 
+def test_oversize_header_meets_the_strict_reader(tmp_path, dird_lines):
+    # The rows array would take 8 TB; the text holds 2 samples.
+    lines = dird_lines[:5] + ["ir 0 0"]
+    lines[1] = "fs 48000 D 1 L 1000000000000 R 1"
+    lines[3] = "dist 1"
+    err = _expect_error(tmp_path, lines, 6)
+    assert "'ir' line carries 2 values, expected 1000000000000" in str(err)
+
+
 def test_truncated_file_rejected(tmp_path, dird_lines):
     lines = dird_lines[:-1]
     _expect_error(tmp_path, lines, 10)

@@ -173,6 +173,12 @@ REJECTED = {
         r"SourcePosition shape \(2, 2\) is not"),
     "duplicate directions": (
         {"positions": [(0.0, 0.0, 1.0), (360.0, 0.0, 1.0)]}, "duplicate direction"),
+    "elevation above the zenith": (
+        {"positions": [(0.0, 95.0, 1.0), (90.0, 0.0, 1.0)]},
+        r"inconsistent contents: elevation 95.0 outside \[-90, \+90\]"),
+    "nan azimuth": (
+        {"positions": [(np.nan, 0.0, 1.0), (90.0, 0.0, 1.0)]},
+        r"inconsistent contents: direction \(nan, 0.0\) has non-finite components"),
     "non-positive distance": (
         {"positions": [(0.0, 0.0, 0.0), (90.0, 0.0, 1.0)]},
         "non-positive source distance"),

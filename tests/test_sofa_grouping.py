@@ -42,3 +42,23 @@ def test_missing_direction_is_named_in_plain_floats():
         "direction (90.0, 0.0) present at distance 1.0 but missing at distance 2.0"
         in str(excinfo.value)
     )
+
+
+def test_a_duplicate_names_its_rows_in_the_file():
+    # At 2 m the directions are rows 1, 3 and 4; rows 1 and 4 repeat.
+    positions = np.array([[0.0, 0.0, 1.0], [10.0, 0.0, 2.0], [90.0, 0.0, 1.0],
+                          [0.0, 0.0, 2.0], [370.0, 0.0, 2.0]])
+    with pytest.raises(SofaError) as excinfo:
+        _group_by_distance("set.sofa", positions)
+    assert "duplicate direction (10.0, 0.0) at distance 2.0 (rows 1 and 4)" in str(
+        excinfo.value
+    )
+
+
+def test_an_invalid_direction_is_named_before_a_later_duplicate():
+    # Each distance's directions are checked, as a coordinate set checks
+    # them, before the repeat scan.
+    positions = np.array([[0.0, 0.0, 1.0], [0.0, 95.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SofaError) as excinfo:
+        _group_by_distance("set.sofa", positions)
+    assert "inconsistent contents: elevation 95.0 outside [-90, +90]" in str(excinfo.value)
