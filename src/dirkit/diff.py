@@ -185,16 +185,28 @@ class DirectivityDiff(Directivity):
             return _mse_measure
         raise ValueError(f"unknown measure {measure!r} (try sd, mse, or a callable)")
 
+    def _reduce(self, measure, select, keep=None):
+        """`measure` over the cells `select` picks from a stored volume: one
+        value (keep=None), or one per index of axis `keep` of the selection,
+        aggregated over its other two axes. The built-in measures sum per
+        index in one pass; a callable gets each slice raveled."""
+        fn = self._measure_fn(measure)
+        diff = select(self._diff)
+        # SD reads no reference values.
+        ref = self._reference if fn is _sd_measure else select(self._reference)
+        if keep is None:
+            return float(fn(diff.ravel(), ref.ravel()))
+        if fn in (_sd_measure, _mse_measure):
+            return fn(diff, ref, keep=keep)
+        slices = zip(np.moveaxis(diff, keep, 0), np.moveaxis(ref, keep, 0))
+        return np.array([fn(d.ravel(), r.ravel()) for d, r in slices])
+
     def _aggregate(self, measure, over):
         """One measure over a coordinate selection (None selects all)."""
-        fn = self._measure_fn(measure)
-        diff, ref = self._diff, self._reference
-        if over is not None:
-            picker = discrete_read_indices(self.coords, over)[:3]
-            diff = gather(diff, *picker)
-            # SD reads no reference values.
-            ref = ref if fn is _sd_measure else gather(ref, *picker)
-        return float(fn(diff.ravel(), ref.ravel()))
+        if over is None:
+            return self._reduce(measure, lambda values: values)
+        picker = discrete_read_indices(self.coords, over)[:3]
+        return self._reduce(measure, lambda values: gather(values, *picker))
 
     def compute_sd(self, over=None):
         """Spectral distortion in dB over a coordinate selection (default all)."""
@@ -222,9 +234,8 @@ class DirectivityDiff(Directivity):
         Returns (frequencies, errors) for the stored bins inside
         freq_range (default: all bins).
         """
-        fn = self._measure_fn(measure)
         bins = self._bin_range(freq_range)
-        errors = _per_slice(fn, self._diff[:, bins], self._reference[:, bins], keep=1)
+        errors = self._reduce(measure, lambda values: values[:, bins], keep=1)
         return self.coords.frequency_array[bins], errors
 
     def error_horizontal(self, measure="sd", freq_range=None):
@@ -233,7 +244,6 @@ class DirectivityDiff(Directivity):
 
         Returns (azimuths, errors) sorted by azimuth.
         """
-        fn = self._measure_fn(measure)
         bins = self._bin_range(freq_range)
         elevations = self.coords.elevation_array
         selected = np.flatnonzero(np.abs(elevations) <= HORIZONTAL_TOL_DEG)
@@ -245,24 +255,8 @@ class DirectivityDiff(Directivity):
         azimuths = self.coords.azimuth_array[selected]
         order = np.argsort(azimuths, kind="stable")
         rows = selected[order]
-        # SD reads no reference values.
-        ref = self._reference if fn is _sd_measure else self._reference[rows, bins]
-        errors = _per_slice(fn, self._diff[rows, bins], ref, keep=0)
+        errors = self._reduce(measure, lambda values: values[rows, bins], keep=0)
         return azimuths[order], errors
-
-
-def _per_slice(fn, diff, ref, keep):
-    """One error per index of axis `keep` of a sub-volume, aggregated over
-    the other two axes. The built-in measures sum per index in one pass; a
-    callable gets each slice raveled."""
-    if fn in (_sd_measure, _mse_measure):
-        return fn(diff, ref, keep=keep)
-    return np.array(
-        [
-            fn(d.ravel(), r.ravel())
-            for d, r in zip(np.moveaxis(diff, keep, 0), np.moveaxis(ref, keep, 0))
-        ]
-    )
 
 
 def _sum_squares(values, keep=None):

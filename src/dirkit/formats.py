@@ -3,12 +3,11 @@
 Both formats are UTF-8 with LF line endings and serialize every number
 with 17 significant digits, which round-trips binary64 exactly. Readers
 are strict: any deviation from the grammar is rejected with the line
-number. The `dir` lines and the `ir`/`coef` rows go through a fast pass
-first: it splits each line at single spaces and parses the values with
-`float`, as the strict reader does, and checks finiteness once at the
-end. At the first line it cannot accept it declines, and the strict
-reader reads the rows again and decides every error, in file order. Both
-accept the same lines with the same values. Layouts:
+number. The `dir` lines and the `ir`/`coef` rows are read in one pass:
+it splits each line at single spaces, parses the values with `float`
+and checks finiteness once at the end. On a bad body, only the first
+failing line in file order is read again, token by token, to name the
+error. Layouts:
 
 DIRD:
     DIRD 1
@@ -121,48 +120,43 @@ class _LineReader:
 
     def rows(self, count, planes, expected, keyword, width, what):
         """Read `planes` * `count` `expected` lines, plane slow and row fast,
-        as `values` reads each, into a new (count, width, planes) array: by
-        `_fast_rows` when it accepts them all, else line by line. The array
-        is made only if the text can hold its values, at two or more
-        characters each (a space and a digit), so an oversize header meets
-        the strict reader's error, not an allocation."""
+        into a new (count, width, planes) array in one pass, as the module
+        docstring says; at the first line that fails, `values` reads it and
+        raises. The array is made only if the text can hold its values, at
+        two or more characters each (a space and a digit), so an oversize
+        header meets the error of `values`, not an allocation."""
         n = count * planes
-        if len(self.lines) - self.pos >= n and 2 * n * width <= self.chars:
+        if 2 * n * width <= self.chars:
             out = np.empty((count, width, planes))
-            if _fast_rows(itertools.islice(self.lines, self.pos, None), keyword, out):
+            # Rows and lines are iterated, not listed: the heap holes such
+            # lists leave between a command's reads raised its later peaks
+            # by up to 8 MB.
+            rows = (row for plane in out.transpose(2, 0, 1) for row in plane)
+            done = 0
+            try:
+                for row, line in zip(rows, itertools.islice(self.lines, self.pos, None)):
+                    tokens = line.split(" ")
+                    if tokens[0] != keyword or len(tokens) != width + 1:
+                        break
+                    row[:] = list(map(float, tokens[1:]))
+                    done += 1
+            except ValueError:
+                pass
+            if done == n and np.isfinite(out).all():
                 self.pos += n
                 return out
-        parsed = [self.values(expected, keyword, width, what) for _ in range(n)]
-        return np.ascontiguousarray(
-            np.reshape(parsed, (planes, count, width)).transpose(1, 2, 0)
-        )
+            # The first failing line: an earlier row with a non-finite
+            # value, else the line the pass stopped at.
+            finite = np.isfinite(out).all(axis=1).T.ravel()[:done]
+            self.pos += int(np.argmin(np.append(finite, False)))
+        while True:
+            self.values(expected, keyword, width, what)
 
     def finish(self):
         if self.pos != len(self.lines):
             raise FormatError(
                 self.path, "content after the final declared row", line=self.pos + 1
             )
-
-
-def _fast_rows(lines, keyword, out):
-    """Fill `out`, a (count, width, planes) array, from `lines` of `keyword`
-    and `width` values, plane slow and row fast, split at single spaces and
-    parsed by `float` as `_LineReader.values` does. False on the first line
-    it might reject or on a non-finite value, leaving the verdict to the
-    strict reader."""
-    width = out.shape[1]
-    # Rows and lines are iterated, not listed: the heap holes such lists
-    # leave between a command's reads raised its later peaks by up to 8 MB.
-    rows = (row for plane in out.transpose(2, 0, 1) for row in plane)
-    try:
-        for row, line in zip(rows, lines):
-            tokens = line.split(" ")
-            if tokens[0] != keyword or len(tokens) != width + 1:
-                return False
-            row[:] = list(map(float, tokens[1:]))
-    except ValueError:
-        return False
-    return bool(np.isfinite(out).all())
 
 
 def _parse_float(path, token, line_no, what):

@@ -7,6 +7,7 @@ coordinates in SVG files are rounded to 1/100 px.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,10 @@ from .formats import _fmt
 SVG_COMMENT = "<!-- dirkit-svg v1 -->"
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7995d", "#882e72", "#666666")
+
+# Canvas sizes in px: line plots are wide, polar plots square.
+_LINE_WIDTH, _LINE_HEIGHT = 960, 600
+_POLAR_SIZE = 640
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,7 @@ class PlotSeries:
             raise ValueError(f"series shapes {x.shape} and {y.shape} do not match")
         if x.size == 0:
             raise ValueError("empty series")
-        if np.any(np.diff(x) <= 0):
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("series x values must be strictly ascending")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("series contains non-finite values")
@@ -69,6 +74,29 @@ def _px(value):
     return format(value, ".2f")
 
 
+def _value_range(lo, hi, pad=0.0):
+    """The axis range over values from `lo` to `hi`, widened on each side
+    by `pad` times its span, within float64's range. Equal ends are first
+    moved apart by 1 each way, or by half their magnitude where a step of 1
+    is lost to rounding."""
+    top = sys.float_info.max
+    lo, hi = float(lo), float(hi)
+    if hi == lo:
+        half = 1.0 if lo - 1.0 < hi + 1.0 else abs(lo) / 2
+        lo, hi = max(lo - half, -top), min(hi + half, top)
+    margin = pad * (hi / 2 - lo / 2) * 2  # as pad * (hi - lo), with no overflow
+    return max(lo - margin, -top), min(hi + margin, top)
+
+
+def _fraction(v, lo, hi):
+    """(v - lo) / (hi - lo) for lo < hi, at half scale where a difference
+    overflows float64."""
+    v = float(v)
+    if math.isinf(v - lo) or math.isinf(hi - lo):
+        v, lo, hi = v / 2, lo / 2, hi / 2
+    return (v - lo) / (hi - lo)
+
+
 def _nice_ticks(lo, hi, target=6):
     """About `target` ticks at round multiples over [lo, hi], at most a
     few more for any finite lo < hi."""
@@ -87,7 +115,8 @@ def _nice_ticks(lo, hi, target=6):
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + step * 1e-9:
+    # Past float64's maximum the next tick would be inf.
+    while v <= min(hi + step * 1e-9, sys.float_info.max):
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
         if v + step == v:  # the step is below half the spacing of floats at v
             break
@@ -96,14 +125,15 @@ def _nice_ticks(lo, hi, target=6):
 
 
 def _log_ticks(lo, hi):
+    top = sys.float_info.max_10_exp  # 10.0 ** (top + 1) overflows
     major = []
     k = math.ceil(math.log10(lo) - 1e-9)
-    while 10.0 ** k <= hi * (1 + 1e-9):
+    while k <= top and 10.0 ** k <= hi * (1 + 1e-9):
         major.append(10.0 ** k)
         k += 1
     minor = []
     k = math.floor(math.log10(lo))
-    while 10.0 ** k <= hi:
+    while k <= top and 10.0 ** k <= hi:
         for mult in range(2, 10):
             v = mult * 10.0 ** k
             if lo <= v <= hi:
@@ -168,17 +198,7 @@ class _Canvas:
             handle.write("</svg>\n")
 
 
-def line_plot_svg(
-    path,
-    series_list,
-    *,
-    title="",
-    x_name="x",
-    y_name="y",
-    x_log=False,
-    width=960,
-    height=600,
-):
+def line_plot_svg(path, series_list, *, title="", x_name="x", y_name="y", x_log=False):
     """Render labeled line series to a standalone SVG file."""
     series_list = list(series_list)
     if not series_list:
@@ -194,33 +214,28 @@ def line_plot_svg(
                 )
             filtered.append(PlotSeries(s.label, s.x[keep], s.y[keep]))
         series_list = filtered
-    x_lo = min(s.x.min() for s in series_list)
-    x_hi = max(s.x.max() for s in series_list)
-    y_lo = min(s.y.min() for s in series_list)
-    y_hi = max(s.y.max() for s in series_list)
-    if y_hi == y_lo:
-        y_lo -= 1.0
-        y_hi += 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo = float(min(s.x.min() for s in series_list))
+    x_hi = float(max(s.x.max() for s in series_list))
+    y_lo, y_hi = _value_range(
+        min(s.y.min() for s in series_list), max(s.y.max() for s in series_list), pad=0.05
+    )
 
     left, right, top, bottom = 72, 24, 48, 58
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _LINE_WIDTH - left - right
+    plot_h = _LINE_HEIGHT - top - bottom
 
     def x_pos(v):
         if x_log:
             span = math.log10(x_hi) - math.log10(x_lo)
             frac = 0.5 if span == 0 else (math.log10(v) - math.log10(x_lo)) / span
         else:
-            frac = 0.5 if x_hi == x_lo else (v - x_lo) / (x_hi - x_lo)
+            frac = 0.5 if x_hi == x_lo else _fraction(v, x_lo, x_hi)
         return left + frac * plot_w
 
     def y_pos(v):
-        return top + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
+        return top + (1.0 - _fraction(v, y_lo, y_hi)) * plot_h
 
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(_LINE_WIDTH, _LINE_HEIGHT)
 
     if x_log:
         major, minor = _log_ticks(x_lo, x_hi)
@@ -237,10 +252,10 @@ def line_plot_svg(
 
     canvas.line(left, top, left, top + plot_h, color="#222222", width=1.2)
     canvas.line(left, top + plot_h, left + plot_w, top + plot_h, color="#222222", width=1.2)
-    canvas.text(left + plot_w / 2, height - 14, x_name, size=14)
+    canvas.text(left + plot_w / 2, _LINE_HEIGHT - 14, x_name, size=14)
     canvas.text(18, top + plot_h / 2, y_name, size=14, rotate=-90)
     if title:
-        canvas.text(width / 2, 24, title, size=16)
+        canvas.text(_LINE_WIDTH / 2, 24, title, size=16)
 
     for i, series in enumerate(series_list):
         color = _PALETTE[i % len(_PALETTE)]
@@ -262,7 +277,7 @@ def line_plot_svg(
     canvas.render(path)
 
 
-def polar_plot_svg(path, azimuths, values, *, title="", value_name="value", size=640):
+def polar_plot_svg(path, azimuths, values, *, title="", value_name="value"):
     """Render a horizontal-plane cut as a polar SVG plot.
 
     Azimuth 0 points up (front) and angles grow counterclockwise on the
@@ -276,25 +291,21 @@ def polar_plot_svg(path, azimuths, values, *, title="", value_name="value", size
     if not np.all(np.isfinite(values)):
         raise ValueError("polar plot values must be finite")
 
-    v_lo = float(values.min())
-    v_hi = float(values.max())
-    if v_hi == v_lo:
-        v_lo -= 1.0
-        v_hi += 1.0
+    v_lo, v_hi = _value_range(values.min(), values.max())
 
-    cx = cy = size / 2
-    r_inner = 0.12 * size
-    r_outer = 0.42 * size
+    cx = cy = _POLAR_SIZE / 2
+    r_inner = 0.12 * _POLAR_SIZE
+    r_outer = 0.42 * _POLAR_SIZE
 
     def radius(v):
-        return r_inner + (v - v_lo) / (v_hi - v_lo) * (r_outer - r_inner)
+        return r_inner + _fraction(v, v_lo, v_hi) * (r_outer - r_inner)
 
     def position(az_deg, r):
         az = math.radians(az_deg)
         return cx - r * math.sin(az), cy - r * math.cos(az)
 
-    canvas = _Canvas(size, size)
-    for ring_value in (v_lo, (v_lo + v_hi) / 2, v_hi):
+    canvas = _Canvas(_POLAR_SIZE, _POLAR_SIZE)
+    for ring_value in (v_lo, v_lo / 2 + v_hi / 2, v_hi):
         r = radius(ring_value)
         steps = 180
         ring = [
@@ -314,8 +325,8 @@ def polar_plot_svg(path, azimuths, values, *, title="", value_name="value", size
     canvas.polyline(pts, _PALETTE[0])
 
     if title:
-        canvas.text(size / 2, 22, title, size=15)
-    canvas.text(size / 2, size - 10, f"{value_name} vs azimuth (deg)", size=12, color="#555555")
+        canvas.text(_POLAR_SIZE / 2, 22, title, size=15)
+    canvas.text(_POLAR_SIZE / 2, _POLAR_SIZE - 10, f"{value_name} vs azimuth (deg)", size=12, color="#555555")
     canvas.render(path)
 
 

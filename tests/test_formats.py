@@ -341,6 +341,23 @@ def test_non_finite_sample_rejected(tmp_path, dird_lines):
     _expect_error(tmp_path, lines, 7)
 
 
+def test_a_bad_last_row_is_the_only_row_parsed_by_token(tmp_path, dird_lines, monkeypatch):
+    # The rows before it are read once, by the row pass; only the failing
+    # line goes through the per-token parser, up to its bad token.
+    lines = dird_lines.copy()
+    parts = lines[-1].split(" ")
+    parts[-1] = "x"
+    lines[-1] = " ".join(parts)
+    seen = []
+    parse = formats._parse_float
+    monkeypatch.setattr(
+        formats, "_parse_float", lambda *args: seen.append(args[1:]) or parse(*args)
+    )
+    _expect_error(tmp_path, lines, len(lines))
+    body = [call for call in seen if call[1] > 4]  # past the distance line
+    assert body == [(token, len(lines), "sample") for token in parts[1:]]
+
+
 def test_short_sample_line_rejected(tmp_path, dird_lines):
     lines = dird_lines.copy()
     lines[7] = " ".join(lines[7].split(" ")[:-1])
