@@ -12,12 +12,13 @@ Bins map to the fit abscissa as x_j = j/N in ascending order, so on a
 uniform grid the fourier design matrix is orthogonal and K = N
 reproduces the source exactly at the fit bins.
 
-The fit is one QR factorization A = QR of the (N, K) design matrix,
-shared by every cell: R^-1 Q^T is formed once, and one product with it
-gives every cell's coefficients in (D, K, R) order (Golub & Van Loan,
-Matrix Computations, ch. 5). A design whose numerical rank, at the
-cut-off S.max() * max(N, K) * eps of the least-squares solvers, is below
-K is rejected.
+The fit is one thin singular value decomposition A = U S V^T of the
+(N, K) design matrix, shared by every cell: V S^-1 U^T is formed once,
+and one product with it gives every cell's coefficients in (D, K, R)
+order (Golub & Van Loan, Matrix Computations, ch. 5). The same singular
+values give the rank: a design with fewer than K of them above the
+cut-off S.max() * max(N, K) * eps of `numpy.linalg.matrix_rank` and the
+least-squares solvers is rejected.
 
 A fitted model is built by the public constructor, like any other, from
 the source's stored directions and distances, which it checks. Its
@@ -208,15 +209,15 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
 
     x = np.arange(n, dtype=np.float64) / n
     design = eval_basis(family, order, x)
-    rank = np.linalg.matrix_rank(design)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = np.count_nonzero(s > s[0] * max(n, order) * np.finfo(np.float64).eps)
     if rank < order:
         raise ValueError(
             f"design matrix rank {rank} below order {order}; fit is underdetermined"
         )
-    q, r = np.linalg.qr(design)
-    # R^-1 Q^T is formed once, and one product with it gives every cell's
+    # V S^-1 U^T is formed once, and one product with it gives every cell's
     # coefficients in (D, K, R) order.
-    projection = np.linalg.solve(r, q.T)
+    projection = (vt.T / s) @ u.T
     coefficients = np.matmul(projection, volume.values)
     return BasisSpectrumModel(
         info, family, coefficients, fit_bins, stored.directions, stored.distances

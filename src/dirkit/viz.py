@@ -3,10 +3,12 @@
 Everything here is deterministic: identical inputs produce byte-identical
 CSV files, and SVG files identical apart from the version comment on
 line 2. Numbers in CSV files carry 17 significant digits; pixel
-coordinates in SVG files are rounded to 1/100 px.
+coordinates in SVG files are rounded to 1/100 px. WAV files are mono
+32-bit float: one `struct`-packed 58-byte header, then the samples.
 """
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -21,6 +23,11 @@ _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7995d", "#882e72", "#666666")
 # Canvas sizes in px: line plots are wide, polar plots square.
 _LINE_WIDTH, _LINE_HEIGHT = 960, 600
 _POLAR_SIZE = 640
+
+# A mono float32 WAV is a 58-byte header and then the samples; its RIFF
+# size, 50 + 4 * count, and its byte rate, 4 * rate, are u32 fields.
+_WAV_MAX_SAMPLES = (0xFFFFFFFF - 50) // 4
+_WAV_MAX_RATE = 0xFFFFFFFF // 4
 
 
 @dataclass(frozen=True)
@@ -331,11 +338,38 @@ def polar_plot_svg(path, azimuths, values, *, title="", value_name="value"):
 
 
 def write_wav(path, samples, sample_rate):
-    """Write a mono 32-bit float WAV file."""
-    # Imported here so that importing the CLI does not load scipy.io.
-    from scipy.io import wavfile
+    """Write a mono 32-bit float WAV file (WAVE_FORMAT_IEEE_FLOAT, RFC 2361):
+    `RIFF` and `WAVE`, an 18-byte `fmt ` chunk, a `fact` chunk holding the
+    sample count, and `data` holding the samples as little-endian float32.
 
-    samples = np.asarray(samples, dtype=np.float32)
+    Raises ValueError, before the file is opened, for a rate that does not
+    round into 1.._WAV_MAX_RATE Hz, for more than _WAV_MAX_SAMPLES samples
+    (no impulse response comes near that, so there is no RF64 output), and
+    for samples that are not finite as float32 (CSV output keeps float64).
+    """
+    fs = float(sample_rate)
+    rate = round(fs) if math.isfinite(fs) else 0
+    if not 1 <= rate <= _WAV_MAX_RATE:
+        raise ValueError(f"WAV sample rate must round into 1..{_WAV_MAX_RATE} Hz, got {fs}")
+    samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError(f"mono output needs a 1D sample array, got {samples.shape}")
-    wavfile.write(path, int(round(float(sample_rate))), samples)
+    count = samples.size
+    if count > _WAV_MAX_SAMPLES:
+        raise ValueError(f"{count} samples exceed the {_WAV_MAX_SAMPLES} a WAV file can hold")
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = samples.astype("<f4")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples are not finite as 32-bit floats; write .csv output instead")
+    # fmt: tag 3 (IEEE float), 1 channel, rate, byte rate, block align 4,
+    # 32 bits per sample, cbSize 0.
+    header = struct.pack(
+        "<4sI4s4sIHHIIHHH4sII4sI",
+        b"RIFF", 50 + 4 * count, b"WAVE",
+        b"fmt ", 18, 3, 1, rate, 4 * rate, 4, 32, 0,
+        b"fact", 4, count,
+        b"data", 4 * count,
+    )
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(samples.tobytes())

@@ -442,7 +442,7 @@ def test_fit_accepts_family_names():
 
 
 # --------------------------------------------------------------------------
-# the QR fit against a least-squares oracle, and the rank guard
+# the SVD fit against a least-squares oracle, and the rank guard
 # --------------------------------------------------------------------------
 
 def _two_distance_noise(seed):
@@ -508,6 +508,28 @@ def test_rank_deficient_design_is_rejected(monkeypatch):
     message = r"design matrix rank 3 below order 4; fit is underdetermined"
     with pytest.raises(ValueError, match=message):
         fit_basis_model("", raw, "fourier", 4)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+def test_rank_verdict_matches_matrix_rank_at_the_cut_off(monkeypatch, factor):
+    # A (32, 4) design with singular values 1, 1, 1 and `factor` times the
+    # cut-off 1 * max(N, K) * eps that numpy.linalg.matrix_rank uses.
+    n, order = 32, 4
+    rng = np.random.default_rng(SEED + 43)
+    left = np.linalg.qr(rng.standard_normal((n, order)))[0]
+    right = np.linalg.qr(rng.standard_normal((order, order)))[0]
+    singular = np.array([1.0, 1.0, 1.0, factor * n * np.finfo(np.float64).eps])
+    design = (left * singular) @ right.T
+    monkeypatch.setattr(dirkit.basis, "eval_basis", lambda family, k, x: design.copy())
+    raw = _two_distance_noise(SEED + 41)
+    expected = np.linalg.matrix_rank(design)
+    assert expected == (order if factor > 1.0 else order - 1)
+    if expected == order:
+        assert fit_basis_model("", raw, "fourier", order).order == order
+    else:
+        message = r"design matrix rank 3 below order 4; fit is underdetermined"
+        with pytest.raises(ValueError, match=message):
+            fit_basis_model("", raw, "fourier", order)
 
 
 # --------------------------------------------------------------------------

@@ -116,17 +116,24 @@ def test_convert_keeps_the_rows_of_coinciding_directions(tmp_path, capsys):
     assert out.read_bytes() == source.read_bytes()
 
 
-def test_cli_import_does_not_load_scipy_io():
-    # WAV output imports scipy.io on demand; other commands never pay for it.
+def test_wav_output_loads_no_scipy(workspace):
+    # A fresh interpreter writes a WAV through main(); no scipy module loads.
+    tmp_path, dird, _ = workspace
     src = str(Path(dirkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from dirkit.cli import main\n"
+        "code = main(['extract-ir', sys.argv[1], '-o', sys.argv[2]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dirkit.cli; print('scipy.io' in sys.modules)"],
+        [sys.executable, "-c", script, str(dird), str(tmp_path / "x.wav")],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "x.wav").read_bytes()[:4] == b"RIFF"
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -280,6 +287,53 @@ def test_extract_ir_wav(workspace, capsys):
     assert data[0] == np.float32(1.0)
     assert data[1] == np.float32(0.5)
     assert np.all(data[2:] == 0.0)
+
+
+def _huge_view(monkeypatch):
+    """Make every IR read return a zero-stride view one sample longer than
+    a WAV file holds, so the writer sees the count without any samples."""
+    read = RawIRs.get_data_vector
+    count = (2**32 - 1 - 50) // 4 + 1
+
+    def huge(self, *args, **kwargs):
+        _, actual = read(self, *args, **kwargs)
+        return np.broadcast_to(np.float32(0.0), (count,)), actual
+
+    monkeypatch.setattr(RawIRs, "get_data_vector", huge)
+
+
+def _infinite_rate(monkeypatch):
+    monkeypatch.setattr(RawIRs, "sample_rate", property(lambda self: float("inf")))
+
+
+# case: (samples, sample rate, patch applied after the file is written, error)
+WAV_REJECTIONS = {
+    "rate-2e9": ([1.0, 0.5], 2e9, None,
+                 "WAV sample rate must round into 1..1073741823 Hz, got 2000000000.0"),
+    "rate-0.4": ([1.0, 0.5], 0.4, None,
+                 "WAV sample rate must round into 1..1073741823 Hz, got 0.4"),
+    "rate-inf": ([1.0, 0.5], 48000.0, _infinite_rate,
+                 "WAV sample rate must round into 1..1073741823 Hz, got inf"),
+    "riff-size": ([1.0, 0.5], 48000.0, _huge_view,
+                  "1073741812 samples exceed the 1073741811 a WAV file can hold"),
+    "sample-1e300": ([1.0, 1e300], 48000.0, None,
+                     "samples are not finite as 32-bit floats; write .csv output instead"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WAV_REJECTIONS))
+def test_extract_ir_rejects_what_a_wav_cannot_hold(case, tmp_path, monkeypatch, capsys):
+    samples, sample_rate, patch, message = WAV_REJECTIONS[case]
+    # The directory does not exist, so opening the file would fail with
+    # another error, and no writer can leave a file behind.
+    source, out = tmp_path / "one.dird", tmp_path / "absent" / "x.wav"
+    write_dird(RawIRs("one", np.array([samples]), sample_rate, [(0.0, 0.0)]), source)
+    if patch is not None:
+        patch(monkeypatch)
+    code, _, stderr = run(["extract-ir", str(source), "-o", str(out)], capsys)
+    assert code == 1
+    assert stderr == f"error: {message}\n"
+    assert not out.parent.exists()
 
 
 def test_extract_ir_csv(workspace, capsys):

@@ -1,12 +1,14 @@
-"""SVG line and polar plots over value ranges at the ends of float64."""
+"""SVG line and polar plots over value ranges at the ends of float64, and
+the WAV writer against scipy.io.wavfile, kept as the test-only reference."""
 
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
-from dirkit.viz import PlotSeries, line_plot_svg, polar_plot_svg
+from dirkit.viz import PlotSeries, line_plot_svg, polar_plot_svg, write_wav
 
 Y_LABEL = re.compile(r'text-anchor="end"[^>]*>([^<]*)</text>')
 MAX = np.finfo(float).max
@@ -90,3 +92,50 @@ def test_any_finite_values_plot_finite(tmp_path, draw):
     draw(out)
     numbers = _numbers(out.read_text())
     assert len(numbers) > 20 and all(math.isfinite(n) for n in numbers)
+
+
+@pytest.mark.parametrize(
+    "length, rate",
+    [(1, 1), (4, 44100), (256, 48000), (1000, 44100.5), (7, 96000), (3, 1073741823)],
+)
+def test_write_wav_matches_scipy_byte_for_byte(tmp_path, length, rate):
+    samples = np.random.default_rng(length).standard_normal(length)
+    ours, reference = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    write_wav(ours, samples, rate)
+    wavfile.write(reference, int(round(rate)), samples.astype(np.float32))
+    assert ours.read_bytes() == reference.read_bytes()
+    assert len(ours.read_bytes()) == 58 + 4 * length
+
+
+# The largest mono float32 WAV whose RIFF size, 50 + 4 * count, fits a u32.
+WAV_MAX_SAMPLES = (2**32 - 1 - 50) // 4
+
+
+@pytest.mark.parametrize(
+    "samples, rate, message",
+    [
+        ([0.0], 0.4, r"sample rate must round into 1\.\.1073741823 Hz, got 0\.4"),
+        ([0.0], 0.5, r"must round into 1\.\.1073741823 Hz, got 0\.5"),
+        ([0.0], -48000, r"must round into 1\.\.1073741823 Hz, got -48000\.0"),
+        ([0.0], 1073741823.5, r"must round into 1\.\.1073741823 Hz, got 1073741823\.5"),
+        ([0.0], 2e9, r"must round into 1\.\.1073741823 Hz, got 2000000000\.0"),
+        ([0.0], math.nan, r"must round into 1\.\.1073741823 Hz, got nan"),
+        ([0.0], math.inf, r"must round into 1\.\.1073741823 Hz, got inf"),
+        ([0.0, 1e300], 48000, r"not finite as 32-bit floats; write \.csv output instead"),
+        ([-3.5e38], 48000, r"not finite as 32-bit floats"),
+        ([math.nan], 48000, r"not finite as 32-bit floats"),
+        # A zero-stride view: the count is checked before any sample is read.
+        (np.broadcast_to(np.float32(0.0), (WAV_MAX_SAMPLES + 1,)), 48000,
+         rf"{WAV_MAX_SAMPLES + 1} samples exceed the {WAV_MAX_SAMPLES} a WAV file can hold"),
+        (np.zeros((2, 2)), 48000, r"mono output needs a 1D sample array"),
+    ],
+    ids=["rate-0.4", "rate-0.5", "rate-negative", "rate-rounds-past-max", "rate-2e9",
+         "rate-nan", "rate-inf", "sample-1e300", "sample-below-float32", "sample-nan",
+         "riff-size", "two-channels"],
+)
+def test_write_wav_rejects_what_a_wav_cannot_hold(tmp_path, samples, rate, message):
+    # The directory does not exist, so opening the file would raise OSError.
+    out = tmp_path / "absent" / "x.wav"
+    with pytest.raises(ValueError, match=message):
+        write_wav(out, samples, rate)
+    assert not out.parent.exists()
