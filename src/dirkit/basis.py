@@ -57,6 +57,10 @@ class BasisFamily(Enum):
 
     @classmethod
     def parse(cls, text):
+        """The member named by `text` (any case, outer spaces ignored), or
+        `text` itself when it is already a member."""
+        if isinstance(text, cls):
+            return text
         key = str(text).strip().lower()
         for member in cls:
             if member.value == key:
@@ -84,7 +88,7 @@ class BasisSpectrumModel(Directivity):
     """
 
     def __init__(self, info, family, coefficients, source_bins, directions, distances=()):
-        family = BasisFamily(family)
+        family = BasisFamily.parse(family)
         coefficients = np.asarray(coefficients, dtype=np.float64)
         if coefficients.ndim == 2:
             coefficients = coefficients[:, :, np.newaxis]
@@ -180,7 +184,7 @@ def fit_basis_model(info, source, family, order, frequency_limits=None):
     bin); the DC bin never participates. Requires order <= retained bin
     count and a full-rank design; rank-deficient fits are rejected.
     """
-    family = BasisFamily(family) if not isinstance(family, str) else BasisFamily.parse(family)
+    family = BasisFamily.parse(family)
     order = int(order)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

@@ -3,6 +3,13 @@
 Every command reads representations from files (.dird, .dirm, .sofa),
 writes CSV/SVG/WAV outputs chosen by the output extension, exits 0 on
 success, and prints failures to stderr as a single `error: ...` line.
+
+A command that writes CSV/SVG/WAV declares its output suffixes next to
+its function, and `main` checks the output's suffix against them before
+the command reads any input. The command returns its report lines and
+one writer per suffix; `main` runs the chosen writer and only then
+prints the lines, ending with `wrote <output>`. So a failed command
+prints nothing on stdout.
 """
 
 import argparse
@@ -49,22 +56,14 @@ def _load(path, receiver=0):
     )
 
 
-def _write_output(out, writers):
-    """Write `out` by the function of the path its suffix picks in `writers`."""
-    suffix = Path(out).suffix.lower()
-    if suffix not in writers:
-        raise ValueError(f"unsupported output format {suffix!r} (use {' or '.join(writers)})")
-    writers[suffix](out)
-    print(f"wrote {out}")
-
-
-def _emit_series(out, series_list, *, x_name, y_name, x_log, title):
-    _write_output(out, {
+def _series_writers(series_list, x_name, y_name, x_log, title):
+    """The .csv and .svg writers of the series of one line plot."""
+    return {
         ".csv": lambda path: series_csv(path, series_list, x_name, y_name),
         ".svg": lambda path: line_plot_svg(
             path, series_list, title=title, x_name=x_name, y_name=y_name, x_log=x_log
         ),
-    })
+    }
 
 
 def _freq_range(args):
@@ -89,25 +88,24 @@ def _spectral_datatype(text):
 def cmd_info(args):
     obj = _load(args.input, args.receiver)
     coords = obj.coords
-    print(f"info: {obj.info}")
-    print(f"type: {type(obj).__name__}")
+    lines = [f"info: {obj.info}", f"type: {type(obj).__name__}"]
     if coords.continuity.direction:
         lo, hi = coords.elevation_limits
-        print(f"directions: continuous, elevation limits [{lo}, {hi}] deg")
+        lines.append(f"directions: continuous, elevation limits [{lo}, {hi}] deg")
     else:
-        print(f"directions: {len(coords.directions)}")
+        lines.append(f"directions: {len(coords.directions)}")
     if coords.continuity.frequency:
         lo, hi = coords.frequencies
-        print(f"frequencies: continuous, [{lo:g}, {hi:g}] Hz")
+        lines.append(f"frequencies: continuous, [{lo:g}, {hi:g}] Hz")
     else:
         f = coords.frequency_array
         span = f" [{f[0]:g}, {f[-1]:g}] Hz" if len(f) else ""
-        print(f"frequencies: {len(f)} bins{span}")
-    print(f"distances: {', '.join(format(v, 'g') for v in coords.distances)} m")
-    print(f"datatypes: {', '.join(sorted(t.value for t in obj.supported_datatypes))}")
+        lines.append(f"frequencies: {len(f)} bins{span}")
+    lines.append(f"distances: {', '.join(format(v, 'g') for v in coords.distances)} m")
+    lines.append(f"datatypes: {', '.join(sorted(t.value for t in obj.supported_datatypes))}")
     if isinstance(obj, RawIRs):
-        print(f"sample rate: {obj.sample_rate:g} Hz, IR length: {obj.ir_length}")
-    return 0
+        lines.append(f"sample rate: {obj.sample_rate:g} Hz, IR length: {obj.ir_length}")
+    return lines, {}
 
 
 def cmd_synth(args):
@@ -125,8 +123,7 @@ def cmd_synth(args):
     raw = synth_test_set(spec, args.info)
     write_dird(raw, args.output)
     d, f, r = raw.coords.shape
-    print(f"wrote {args.output} ({d} directions, {f} bins, {r} distances)")
-    return 0
+    return [f"wrote {args.output} ({d} directions, {f} bins, {r} distances)"], {}
 
 
 def cmd_convert(args):
@@ -134,14 +131,13 @@ def cmd_convert(args):
     if not isinstance(obj, RawIRs):
         raise ValueError("convert expects an impulse-response input")
     write_dird(obj, args.output)
-    print(f"wrote {args.output}")
-    return 0
+    return [f"wrote {args.output}"], {}
 
 
 def cmd_spectrum(args):
     datatype = _spectral_datatype(args.datatype)
     direction = Direction(args.azimuth, args.elevation)
-    series_list = []
+    series_list, lines = [], []
     for i, path in enumerate(args.inputs):
         obj = _load(path, args.receiver)
         series = obj.spectrum_series(direction, args.distance, datatype)
@@ -150,20 +146,12 @@ def cmd_spectrum(args):
             label = f"{label}-{i}"
         series_list.append(PlotSeries(label, series.frequencies, series.values))
         actual = series.coords.directions[0]
-        print(
+        lines.append(
             f"{path}: read at ({actual.azimuth:g}, {actual.elevation:g}) deg, "
             f"{series.coords.distances[0]:g} m"
         )
     title = args.title or f"spectrum at ({args.azimuth:g}, {args.elevation:g})"
-    _emit_series(
-        args.output,
-        series_list,
-        x_name="frequency_hz",
-        y_name=_Y_NAMES[datatype],
-        x_log=True,
-        title=title,
-    )
-    return 0
+    return lines, _series_writers(series_list, "frequency_hz", _Y_NAMES[datatype], True, title)
 
 
 def cmd_fit(args):
@@ -172,11 +160,10 @@ def cmd_fit(args):
     model = fit_basis_model(args.info, source, family, args.order, _freq_range(args))
     write_dirm(model, args.output)
     lo, hi = model.frequency_limits
-    print(
+    return [
         f"wrote {args.output} (family {model.family.value}, order {model.order}, "
         f"limits [{lo:g}, {hi:g}] Hz)"
-    )
-    return 0
+    ], {}
 
 
 def cmd_diff(args):
@@ -194,17 +181,9 @@ def cmd_diff(args):
         x, y = diff.error_horizontal(args.measure, freq_range)
         x_name, x_log = "azimuth_deg", False
     overall = diff.compute_sd() if args.measure == "sd" else diff.compute_mse()
-    print(f"overall {args.measure} over the comparison grid: {overall:.6g}")
     title = args.title or f"{args.measure} vs {args.mode}"
-    _emit_series(
-        args.output,
-        [PlotSeries(args.measure, x, y)],
-        x_name=x_name,
-        y_name=y_name,
-        x_log=x_log,
-        title=title,
-    )
-    return 0
+    line = f"overall {args.measure} over the comparison grid: {overall:.6g}"
+    return [line], _series_writers([PlotSeries(args.measure, x, y)], x_name, y_name, x_log, title)
 
 
 def cmd_sweep(args):
@@ -219,18 +198,9 @@ def cmd_sweep(args):
         diff = DirectivityDiff("", reference, model, datatype=DataType.LINEAR_MAGNITUDE)
         errors.append(diff.compute_mse())
     series = PlotSeries("mse", orders.astype(float), np.array(errors))
-    print(
-        f"mse: {errors[0]:.6g} at order 1, {errors[-1]:.6g} at order {args.max_order}"
-    )
-    _emit_series(
-        args.output,
-        [series],
-        x_name="order",
-        y_name="mse_ratio",
-        x_log=False,
-        title=args.title or f"model error vs order ({family.value})",
-    )
-    return 0
+    title = args.title or f"model error vs order ({family.value})"
+    line = f"mse: {errors[0]:.6g} at order 1, {errors[-1]:.6g} at order {args.max_order}"
+    return [line], _series_writers([series], "order", "mse_ratio", False, title)
 
 
 def cmd_extract_ir(args):
@@ -238,16 +208,15 @@ def cmd_extract_ir(args):
     requested = CoordinateSet(directions=[(args.azimuth, args.elevation)], distances=(args.distance,))
     vector, actual = obj.get_data_vector(requested, DataType.IMPULSE_RESPONSES)
     direction = actual.directions[0]
-    print(
+    rows = zip(range(len(vector)), actual.frequency_array, vector)
+    line = (
         f"extracted {len(vector)} samples at ({direction.azimuth:g}, "
         f"{direction.elevation:g}) deg, {actual.distances[0]:g} m"
     )
-    rows = zip(range(len(vector)), actual.frequency_array, vector)
-    _write_output(args.output, {
+    return [line], {
         ".wav": lambda path: write_wav(path, vector, obj.sample_rate),
         ".csv": lambda path: write_csv(path, ("sample_index", "time_s", "amplitude"), rows),
-    })
-    return 0
+    }
 
 
 def cmd_balloon(args):
@@ -255,7 +224,6 @@ def cmd_balloon(args):
     datatype = _spectral_datatype(args.datatype)
     grid = obj.balloon_grid(args.frequency, args.distance, datatype)
     actual_freq = grid.coords.frequencies[0]
-    print(f"balloon read at {actual_freq:g} Hz")
     azimuths, elevations = grid.coords.azimuth_array, grid.coords.elevation_array
     y_name = _Y_NAMES[datatype]
 
@@ -270,11 +238,10 @@ def cmd_balloon(args):
         polar_plot_svg(path, azimuths[ring], grid.values[ring], title=title, value_name=y_name)
 
     rows = zip(azimuths.tolist(), elevations.tolist(), grid.values)
-    _write_output(args.output, {
+    return [f"balloon read at {actual_freq:g} Hz"], {
         ".csv": lambda path: write_csv(path, ("azimuth_deg", "elevation_deg", y_name), rows),
         ".svg": ring_svg,
-    })
-    return 0
+    }
 
 
 # --------------------------------------------------------------------------
@@ -301,12 +268,22 @@ def _add_freq_range(parser):
     parser.add_argument("--fmax", type=float, default=None, help="upper frequency bound, Hz")
 
 
+def _add_output(parser, func, *formats):
+    """Add `-o` for a command whose output suffix picks one of `formats`,
+    the keys of the writers the command returns."""
+    parser.add_argument(
+        "-o", "--output", required=True, help=f"output file: {' or '.join(formats)}"
+    )
+    parser.set_defaults(func=func, formats=formats)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dirkit",
         description="Directivity datasets: synthesize, convert, model, compare, export.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(formats=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="describe a representation file")
@@ -341,8 +318,7 @@ def build_parser():
     _add_direction(p)
     p.add_argument("--datatype", default="log", help="log, lin, or pow (default log)")
     p.add_argument("--title", default="")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_spectrum)
+    _add_output(p, cmd_spectrum, ".csv", ".svg")
 
     p = sub.add_parser("fit", help="fit a basis spectrum model, write DIRM")
     p.add_argument("input")
@@ -367,23 +343,20 @@ def build_parser():
     _add_freq_range(p)
     p.add_argument("--info", default="")
     p.add_argument("--title", default="")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_diff)
+    _add_output(p, cmd_diff, ".csv", ".svg")
 
     p = sub.add_parser("sweep", help="model error against model order")
     p.add_argument("reference")
     p.add_argument("--family", default="fourier")
     p.add_argument("-k", "--max-order", type=int, required=True)
     p.add_argument("--title", default="")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_sweep)
+    _add_output(p, cmd_sweep, ".csv", ".svg")
 
     p = sub.add_parser("extract-ir", help="write one impulse response as WAV/CSV")
     p.add_argument("input")
     _add_receiver(p)
     _add_direction(p)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_extract_ir)
+    _add_output(p, cmd_extract_ir, ".wav", ".csv")
 
     p = sub.add_parser("balloon", help="directional pattern at one frequency")
     p.add_argument("input")
@@ -398,19 +371,37 @@ def build_parser():
         help="elevation of the ring rendered in SVG output (default 0)",
     )
     p.add_argument("--title", default="")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_balloon)
+    _add_output(p, cmd_balloon, ".csv", ".svg")
 
     return parser
+
+
+def _output_suffix(args):
+    """The suffix that picks the writer of `args.output`, checked against
+    the command's formats; None for a command that writes its own output."""
+    if not args.formats:
+        return None
+    suffix = Path(args.output).suffix.lower()
+    if suffix not in args.formats:
+        raise ValueError(
+            f"unsupported output format {suffix!r} (use {' or '.join(args.formats)})"
+        )
+    return suffix
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        suffix = _output_suffix(args)
+        lines, writers = args.func(args)
+        if suffix is not None:
+            writers[suffix](args.output)
+            lines.append(f"wrote {args.output}")
     except (DirectivityError, ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -57,6 +57,15 @@ def test_family_parse():
         BasisFamily.parse("legendre")
 
 
+@pytest.mark.parametrize("family", [BasisFamily.COSINE, "cosine", "COSINE", " Cosine "])
+def test_model_and_fit_take_the_same_family_forms(family):
+    assert BasisFamily.parse(family) is BasisFamily.COSINE
+    model = BasisSpectrumModel("m", family, np.ones((1, 1)), (100.0,), [(0, 0)])
+    assert model.family is BasisFamily.COSINE
+    fitted = fit_basis_model("f", make_raw(np.random.default_rng(SEED)), family, 2)
+    assert fitted.family is BasisFamily.COSINE
+
+
 def test_fourier_fixed_values():
     np.testing.assert_allclose(
         eval_basis(BasisFamily.FOURIER, 3, np.array([0.0]))[0], [1.0, 1.0, 0.0], atol=1e-15

@@ -11,7 +11,7 @@ import pytest
 from scipy.io import wavfile
 
 import dirkit
-from dirkit.cli import main
+from dirkit.cli import build_parser, main
 from dirkit.formats import read_dird, read_dirm, write_dird
 from dirkit.rawirs import RawIRs
 
@@ -22,6 +22,14 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this dirkit."""
+    src = str(Path(dirkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def read_rows(path):
@@ -119,9 +127,6 @@ def test_convert_keeps_the_rows_of_coinciding_directions(tmp_path, capsys):
 def test_wav_output_loads_no_scipy(workspace):
     # A fresh interpreter writes a WAV through main(); no scipy module loads.
     tmp_path, dird, _ = workspace
-    src = str(Path(dirkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "from dirkit.cli import main\n"
@@ -130,7 +135,7 @@ def test_wav_output_loads_no_scipy(workspace):
     )
     out = subprocess.run(
         [sys.executable, "-c", script, str(dird), str(tmp_path / "x.wav")],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "x.wav").read_bytes()[:4] == b"RIFF"
@@ -254,18 +259,32 @@ def test_sweep_fits_each_order_once(workspace, capsys, monkeypatch):
     assert fitted == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("max_order", ["0", "-3"])
-def test_sweep_below_order_one_fails_before_any_fit(
-    workspace, capsys, monkeypatch, max_order
-):
-    tmp_path, dird, _ = workspace
+@pytest.fixture()
+def fits(monkeypatch):
+    """The argument tuples of every fit_basis_model call the CLI makes; none fits."""
     fitted = []
     monkeypatch.setattr(dirkit.cli, "fit_basis_model", lambda *args: fitted.append(args))
+    return fitted
+
+
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_sweep_below_order_one_fails_before_any_fit(workspace, capsys, fits, max_order):
+    tmp_path, dird, _ = workspace
     out = tmp_path / "sweep.csv"
     code, _, stderr = run(["sweep", str(dird), "-k", max_order, "-o", str(out)], capsys)
     assert code == 1
     assert stderr == f"error: max order must be >= 1, got {max_order}\n"
-    assert fitted == []
+    assert fits == []
+    assert not out.exists()
+
+
+def test_sweep_to_an_unsupported_format_fits_nothing(workspace, capsys, fits):
+    tmp_path, dird, _ = workspace
+    out = tmp_path / "s.png"
+    code, stdout, stderr = run(["sweep", str(dird), "-k", "4", "-o", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == "error: unsupported output format '.png' (use .csv or .svg)\n"
+    assert fits == []
     assert not out.exists()
 
 
@@ -330,8 +349,8 @@ def test_extract_ir_rejects_what_a_wav_cannot_hold(case, tmp_path, monkeypatch, 
     write_dird(RawIRs("one", np.array([samples]), sample_rate, [(0.0, 0.0)]), source)
     if patch is not None:
         patch(monkeypatch)
-    code, _, stderr = run(["extract-ir", str(source), "-o", str(out)], capsys)
-    assert code == 1
+    code, stdout, stderr = run(["extract-ir", str(source), "-o", str(out)], capsys)
+    assert code == 1 and stdout == ""
     assert stderr == f"error: {message}\n"
     assert not out.parent.exists()
 
@@ -411,9 +430,57 @@ def test_failures_exit_one_with_error_line(case, workspace, capsys):
     (tmp_path / "notes.txt").write_text("not a dataset\n")
     argv = FAILING[case](tmp_path, dird, dirm)
     code, stdout, stderr = run(argv, capsys)
-    assert code == 1
+    assert code == 1 and stdout == ""
     assert stderr.startswith("error: ")
     assert stderr.strip().count("\n") == 0
+    if "-o" in argv:
+        assert not Path(argv[argv.index("-o") + 1]).exists()
+
+
+# Each output command on a DIRD and a DIRM path, with `-o` left off, and
+# the formats it writes.
+OUTPUT_COMMANDS = {
+    "spectrum": (lambda d, m: ["spectrum", str(d), str(m)], ".csv or .svg"),
+    "diff": (lambda d, m: ["diff", str(d), str(m)], ".csv or .svg"),
+    "sweep": (lambda d, m: ["sweep", str(d), "-k", "3"], ".csv or .svg"),
+    "extract-ir": (lambda d, m: ["extract-ir", str(d)], ".wav or .csv"),
+    "balloon": (lambda d, m: ["balloon", str(d), "--frequency", "1000"], ".csv or .svg"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_an_unsupported_format_fails_before_any_input_is_read(command, tmp_path, capsys):
+    make_argv, formats = OUTPUT_COMMANDS[command]
+    argv = make_argv(tmp_path / "absent.dird", tmp_path / "absent.dirm")
+    code, stdout, stderr = run([*argv, "-o", str(tmp_path / "out.txt")], capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: unsupported output format '.txt' (use {formats})\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_every_declared_format_is_written(command, workspace, capsys):
+    tmp_path, dird, dirm = workspace
+    make_argv, formats = OUTPUT_COMMANDS[command]
+    argv = make_argv(dird, dirm)
+    declared = build_parser().parse_args([*argv, "-o", "x"]).formats
+    assert " or ".join(declared) == formats
+    for suffix in declared:
+        out = tmp_path / f"{command}{suffix}"
+        code, stdout, stderr = run([*argv, "-o", str(out)], capsys)
+        assert (code, stderr) == (0, "")
+        assert out.stat().st_size > 0
+        assert stdout.splitlines()[-1] == f"wrote {out}"
+
+
+def test_module_entry_point_fails_with_one_error_line(tmp_path):
+    # `python -m dirkit` exits with main()'s code and prints nothing on stdout.
+    done = subprocess.run(
+        [sys.executable, "-m", "dirkit", "spectrum", "absent.dird", "-o", "x.txt"],
+        cwd=tmp_path, capture_output=True, text=True, env=_child_env(), check=False,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: unsupported output format '.txt' (use .csv or .svg)\n"
 
 
 def test_spectrum_of_overflowing_responses_fails_with_error_line(tmp_path, capsys):
