@@ -1,15 +1,18 @@
 """Command-line front end: synthesize, convert, fit, compare, export.
 
 Every command reads representations from files (.dird, .dirm, .sofa),
-writes CSV/SVG/WAV outputs chosen by the output extension, exits 0 on
-success, and prints failures to stderr as a single `error: ...` line.
+writes DIRD/DIRM/CSV/SVG/WAV outputs chosen by the output extension,
+exits 0 on success, and prints failures to stderr as a single
+`error: ...` line. An input's suffix picks its reader, which returns
+one object per receiver (a DIRD or DIRM file holds receiver 0 only),
+and `--receiver` is checked for every input.
 
-A command that writes CSV/SVG/WAV declares its output suffixes next to
-its function, and `main` checks the output's suffix against them before
-the command reads any input. The command returns its report lines and
-one writer per suffix; `main` runs the chosen writer and only then
-prints the lines, ending with `wrote <output>`. So a failed command
-prints nothing on stdout.
+A command that writes a file declares its output suffixes next to its
+function, and `main` checks the output's suffix against them before the
+command reads any input. The command returns its report lines and one
+writer per suffix; `main` runs the chosen writer and only then prints
+the lines, ending with `wrote <output>`. So a failed command prints
+nothing on stdout.
 """
 
 import argparse
@@ -26,6 +29,7 @@ from .diff import DirectivityDiff
 from .errors import DirectivityError
 from .formats import read_dird, read_dirm, write_dird, write_dirm
 from .rawirs import RawIRs
+from .sofa import load_sofa
 from .synth import MODES, SynthSpec, synth_test_set
 from .viz import PlotSeries, line_plot_svg, polar_plot_svg, series_csv, write_csv, write_wav
 
@@ -36,24 +40,25 @@ _Y_NAMES = {
 }
 
 
-def _load(path, receiver=0):
-    suffix = Path(path).suffix.lower()
-    if suffix == ".dird":
-        return read_dird(path)
-    if suffix == ".dirm":
-        return read_dirm(path)
-    if suffix == ".sofa":
-        from .sofa import load_sofa
+# Each input suffix's reader returns the file's objects, one per receiver,
+# and looks its function up in this module when it runs.
+_READERS = {
+    ".dird": lambda path: [read_dird(path)],
+    ".dirm": lambda path: [read_dirm(path)],
+    ".sofa": lambda path: load_sofa(path),
+}
 
-        objects = load_sofa(path)
-        if not 0 <= receiver < len(objects):
-            raise ValueError(
-                f"receiver {receiver} out of range, file has {len(objects)}"
-            )
-        return objects[receiver]
-    raise ValueError(
-        f"cannot infer the format of {path!r} (expected .dird, .dirm, or .sofa)"
-    )
+
+def _load(path, receiver=0):
+    reader = _READERS.get(Path(path).suffix.lower())
+    if reader is None:
+        raise ValueError(
+            f"cannot infer the format of {path!r} (expected .dird, .dirm, or .sofa)"
+        )
+    objects = reader(path)
+    if not 0 <= receiver < len(objects):
+        raise ValueError(f"receiver {receiver} out of range, file has {len(objects)}")
+    return objects[receiver]
 
 
 def _series_writers(series_list, x_name, y_name, x_log, title):
@@ -121,17 +126,16 @@ def cmd_synth(args):
         lowpass_a=args.lowpass_a,
     )
     raw = synth_test_set(spec, args.info)
-    write_dird(raw, args.output)
     d, f, r = raw.coords.shape
-    return [f"wrote {args.output} ({d} directions, {f} bins, {r} distances)"], {}
+    line = f"{d} directions, {f} bins, {r} distances"
+    return [line], {".dird": lambda path: write_dird(raw, path)}
 
 
 def cmd_convert(args):
     obj = _load(args.input, args.receiver)
     if not isinstance(obj, RawIRs):
         raise ValueError("convert expects an impulse-response input")
-    write_dird(obj, args.output)
-    return [f"wrote {args.output}"], {}
+    return [], {".dird": lambda path: write_dird(obj, path)}
 
 
 def cmd_spectrum(args):
@@ -142,7 +146,7 @@ def cmd_spectrum(args):
         obj = _load(path, args.receiver)
         series = obj.spectrum_series(direction, args.distance, datatype)
         label = Path(path).stem or f"series{i}"
-        if any(s.label == label for s in series_list):
+        while any(s.label == label for s in series_list):
             label = f"{label}-{i}"
         series_list.append(PlotSeries(label, series.frequencies, series.values))
         actual = series.coords.directions[0]
@@ -156,14 +160,10 @@ def cmd_spectrum(args):
 
 def cmd_fit(args):
     source = _load(args.input, args.receiver)
-    family = BasisFamily.parse(args.family)
-    model = fit_basis_model(args.info, source, family, args.order, _freq_range(args))
-    write_dirm(model, args.output)
+    model = fit_basis_model(args.info, source, args.family, args.order, _freq_range(args))
     lo, hi = model.frequency_limits
-    return [
-        f"wrote {args.output} (family {model.family.value}, order {model.order}, "
-        f"limits [{lo:g}, {hi:g}] Hz)"
-    ], {}
+    line = f"family {model.family.value}, order {model.order}, limits [{lo:g}, {hi:g}] Hz"
+    return [line], {".dirm": lambda path: write_dirm(model, path)}
 
 
 def cmd_diff(args):
@@ -253,7 +253,7 @@ def _add_receiver(parser):
         "--receiver",
         type=int,
         default=0,
-        help="receiver index when reading SOFA files (default 0)",
+        help="receiver index (default 0); a DIRD or DIRM file holds only 0",
     )
 
 
@@ -303,14 +303,12 @@ def build_parser():
     p.add_argument("--g1", type=float, default=0.4)
     p.add_argument("--lowpass-a", type=float, default=0.5)
     p.add_argument("--info", default="")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_synth)
+    _add_output(p, cmd_synth, ".dird")
 
     p = sub.add_parser("convert", help="convert a SOFA (or DIRD) input to DIRD")
     p.add_argument("input")
     _add_receiver(p)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_convert)
+    _add_output(p, cmd_convert, ".dird")
 
     p = sub.add_parser("spectrum", help="spectrum at one direction as CSV/SVG")
     p.add_argument("inputs", nargs="+", metavar="input")
@@ -327,8 +325,7 @@ def build_parser():
     p.add_argument("-k", "--order", type=int, required=True)
     _add_freq_range(p)
     p.add_argument("--info", default="")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_fit)
+    _add_output(p, cmd_fit, ".dirm")
 
     p = sub.add_parser("diff", help="error of an evaluand against a reference")
     p.add_argument("reference")
@@ -378,7 +375,7 @@ def build_parser():
 
 def _output_suffix(args):
     """The suffix that picks the writer of `args.output`, checked against
-    the command's formats; None for a command that writes its own output."""
+    the command's formats; None for a command with no output file."""
     if not args.formats:
         return None
     suffix = Path(args.output).suffix.lower()

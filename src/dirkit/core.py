@@ -237,7 +237,8 @@ class Directivity(ABC):
 
         Frequency-discrete representations report every stored bin;
         frequency-continuous ones are sampled at 512 log-spaced points
-        between the limits (lower limit floored at 20 Hz when it is 0).
+        between the limits (lower limit floored at 20 Hz when it is 0),
+        or at the one frequency of equal limits.
         """
         if not datatype.is_spectral:
             raise ValueError("spectrum_series needs a spectral datatype")
@@ -248,8 +249,11 @@ class Directivity(ABC):
         dirs = _as_directions((direction,))
         if self.coords.continuity.frequency:
             lo, hi = self.coords.frequencies
-            lo = SERIES_MIN_HZ if lo == 0.0 else lo
-            freqs = np.geomspace(lo, hi, SERIES_SAMPLES)
+            if lo == hi:  # one frequency, which geomspace would round
+                freqs = np.array([hi])
+            else:
+                lo = SERIES_MIN_HZ if lo == 0.0 else lo
+                freqs = np.geomspace(lo, hi, SERIES_SAMPLES)
             freqs = _ascending(freqs, "frequency", 0.0, strict_min=False)
         else:
             freqs = self.coords._values[0]

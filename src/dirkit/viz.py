@@ -7,6 +7,7 @@ coordinates in SVG files are rounded to 1/100 px. WAV files are mono
 32-bit float: one `struct`-packed 58-byte header, then the samples.
 """
 
+import csv
 import math
 import struct
 import sys
@@ -54,14 +55,14 @@ class PlotSeries:
 
 
 def write_csv(path, header, rows):
-    """Write a CSV table; floats get 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                cell if isinstance(cell, str) else _fmt(cell) for cell in row
-            ]
-            handle.write(",".join(cells) + "\n")
+    """Write a CSV table; floats get 17 significant digits, and a cell
+    holding a comma, a quote or a line break is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, str) else _fmt(cell) for cell in row] for row in rows
+        )
 
 
 def series_csv(path, series_list, x_name, y_name):

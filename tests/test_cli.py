@@ -1,5 +1,6 @@
 """End-to-end exercise of the command-line interface through main(argv)."""
 
+import argparse
 import csv
 import os
 import subprocess
@@ -62,7 +63,7 @@ def test_synth_writes_a_loadable_file(tmp_path, capsys):
     )
     assert code == 0
     assert stderr == ""
-    assert f"wrote {out} (12 directions, 33 bins, 1 distances)" in stdout
+    assert stdout == f"12 directions, 33 bins, 1 distances\nwrote {out}\n"
     raw = read_dird(out)
     assert raw.info == "ring set"
     assert raw.coords.shape == (12, 33, 1)
@@ -101,7 +102,7 @@ def test_fit_reports_family_order_and_limits(workspace, capsys):
         capsys,
     )
     assert code == 0
-    assert f"wrote {out} (family cosine, order 3, limits [750, 24000] Hz)" in stdout
+    assert stdout == f"family cosine, order 3, limits [750, 24000] Hz\nwrote {out}\n"
     assert read_dirm(out).order == 3
 
 
@@ -181,13 +182,28 @@ def test_spectrum_deduplicates_equal_stems(workspace, capsys):
     other_dir.mkdir()
     twin = other_dir / "ring.dird"
     twin.write_bytes(dird.read_bytes())
+    # The twin's first suffixed label, `ring-2`, is this input's stem.
+    taken = tmp_path / "ring-2.dird"
+    taken.write_bytes(dird.read_bytes())
     out = tmp_path / "twin.csv"
     code, stdout, stderr = run(
-        ["spectrum", str(dird), str(twin), "-o", str(out)], capsys
+        ["spectrum", str(dird), str(taken), str(twin), "-o", str(out)], capsys
     )
     assert code == 0
-    labels = {row[0] for row in read_rows(out)[1:]}
-    assert labels == {"ring", "ring-1"}
+    rows = read_rows(out)[1:]
+    assert {row[0] for row in rows} == {"ring", "ring-2", "ring-2-2"}
+    assert len(rows) == 3 * 33
+
+
+def test_spectrum_csv_quotes_a_label_with_a_comma(workspace, capsys):
+    tmp_path, dird, _ = workspace
+    source, out = tmp_path / "left,ear.dird", tmp_path / "s.csv"
+    source.write_bytes(dird.read_bytes())
+    code, _, _ = run(["spectrum", str(source), "-o", str(out)], capsys)
+    assert code == 0
+    rows = read_rows(out)
+    assert {len(row) for row in rows} == {3}
+    assert {row[0] for row in rows[1:]} == {"left,ear"}
 
 
 # -- diff and sweep ----------------------------------------------------------
@@ -421,6 +437,9 @@ FAILING = {
     "convert model": lambda t, d, m: ["convert", str(m), "-o", str(t / "c.dird")],
     "synth equal gains": lambda t, d, m: [
         "synth", "--g0", "0.4", "--g1", "0.4", "-o", str(t / "bad.dird")],
+    "fit csv output": lambda t, d, m: ["fit", str(d), "-k", "2", "-o", str(t / "m.csv")],
+    "receiver out of range on a DIRD": lambda t, d, m: [
+        "info", str(d), "--receiver", "1"],
 }
 
 
@@ -440,6 +459,9 @@ def test_failures_exit_one_with_error_line(case, workspace, capsys):
 # Each output command on a DIRD and a DIRM path, with `-o` left off, and
 # the formats it writes.
 OUTPUT_COMMANDS = {
+    "synth": (lambda d, m: ["synth", "--azimuth-step", "60", "--length", "16"], ".dird"),
+    "convert": (lambda d, m: ["convert", str(d)], ".dird"),
+    "fit": (lambda d, m: ["fit", str(d), "-k", "2"], ".dirm"),
     "spectrum": (lambda d, m: ["spectrum", str(d), str(m)], ".csv or .svg"),
     "diff": (lambda d, m: ["diff", str(d), str(m)], ".csv or .svg"),
     "sweep": (lambda d, m: ["sweep", str(d), "-k", "3"], ".csv or .svg"),
@@ -471,6 +493,14 @@ def test_every_declared_format_is_written(command, workspace, capsys):
         assert (code, stderr) == (0, "")
         assert out.stat().st_size > 0
         assert stdout.splitlines()[-1] == f"wrote {out}"
+
+
+def test_every_command_with_an_output_declares_its_formats():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        if any("-o" in action.option_strings for action in sub._actions):
+            assert sub.get_default("formats"), name
 
 
 def test_module_entry_point_fails_with_one_error_line(tmp_path):

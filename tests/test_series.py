@@ -177,6 +177,17 @@ def test_zero_lower_limit_is_floored_at_twenty_hz():
     assert series.frequencies[-1] == pytest.approx(1000.0)
 
 
+def test_a_one_bin_model_serves_its_one_frequency():
+    raw = synth_test_set(SynthSpec(mode="lowpass", length=16))  # bins every 3 kHz
+    model = fit_basis_model("", raw, BasisFamily.FOURIER, 1, (5000.0, 7000.0))
+    assert model.frequency_limits == (6000.0, 6000.0)
+    series = model.spectrum_series((30.0, 0.0))
+    np.testing.assert_array_equal(series.frequencies, [6000.0])
+    request = CoordinateSet(directions=[(30.0, 0.0)], frequencies=(6000.0,))
+    direct = model.get_data_matrix(request, DataType.LOG_MAGNITUDE).values[0, :, 0]
+    np.testing.assert_array_equal(series.values, direct)
+
+
 def test_series_on_analytic_double_matches_closed_form():
     lobe = AnalyticLobe()
     series = lobe.spectrum_series((0.0, 10.0))
