@@ -64,11 +64,10 @@ class DataType(Enum):
 
 
 def linear_to_db(linear):
-    """20*log10 of a magnitude, floored at -300 dB so zeros stay finite."""
-    linear = np.asarray(linear, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(linear)
-    return np.maximum(db, DB_FLOOR)
+    """20*log10 of a magnitude in a new array, floored at -300 dB so zeros
+    stay finite."""
+    db = magnitude_as(DataType.LOG_MAGNITUDE, np.array(linear, dtype=np.float64))
+    return db if db.ndim else db[()]
 
 
 _LN10_OVER_20 = np.log(10.0) / 20.0
@@ -138,14 +137,17 @@ def gather(values, d_idx, f_idx, r_idx):
 
 
 def magnitude_as(datatype, magnitude):
-    """Convert a linear magnitude array to lin, pow, or log."""
-    magnitude = np.asarray(magnitude, dtype=np.float64)
+    """Convert a float64 linear magnitude array to lin, pow, or log in
+    place, and return it."""
     if datatype is DataType.LINEAR_MAGNITUDE:
         return magnitude
     if datatype is DataType.POWER_SPECTRUM:
-        return magnitude * magnitude
+        return np.multiply(magnitude, magnitude, out=magnitude)
     if datatype is DataType.LOG_MAGNITUDE:
-        return linear_to_db(magnitude)
+        with np.errstate(divide="ignore"):
+            np.log10(magnitude, out=magnitude)
+        np.multiply(magnitude, 20.0, out=magnitude)
+        return np.maximum(magnitude, DB_FLOOR, out=magnitude)
     raise ValueError(f"{datatype} is not a magnitude datatype")
 
 
@@ -237,8 +239,9 @@ class Directivity(ABC):
 
         Frequency-discrete representations report every stored bin;
         frequency-continuous ones are sampled at 512 log-spaced points
-        between the limits (lower limit floored at 20 Hz when it is 0),
-        or at the one frequency of equal limits.
+        between the limits (a lower limit of 0 floored at 20 Hz, or at the
+        upper limit when that is below 20 Hz), or at the one frequency of
+        equal limits.
         """
         if not datatype.is_spectral:
             raise ValueError("spectrum_series needs a spectral datatype")
@@ -249,10 +252,11 @@ class Directivity(ABC):
         dirs = _as_directions((direction,))
         if self.coords.continuity.frequency:
             lo, hi = self.coords.frequencies
+            if lo == 0.0:
+                lo = min(SERIES_MIN_HZ, hi)
             if lo == hi:  # one frequency, which geomspace would round
                 freqs = np.array([hi])
             else:
-                lo = SERIES_MIN_HZ if lo == 0.0 else lo
                 freqs = np.geomspace(lo, hi, SERIES_SAMPLES)
             freqs = _ascending(freqs, "frequency", 0.0, strict_min=False)
         else:

@@ -282,6 +282,7 @@ def read_dird(path):
     directions, irs = _read_body(
         reader, d_count, r_count, "an impulse-response line", "ir", length, "sample"
     )
+    irs.setflags(write=False)  # handed over to the set, not copied
     return _build(path, RawIRs, info, irs, header["fs"], directions, distances)
 
 

@@ -5,17 +5,23 @@ the sample rate. Spectral datatypes are served through the one-sided DFT
 
     H[k] = sum_n h[n] * exp(-i 2 pi k n / L),  k = 0 .. floor(L/2)
 
-with no normalization, evaluated once, on the first spectral read.
-Responses whose spectra overflow float64 (samples near 1e308) can still
-be read and written as responses; their spectral reads are rejected.
+with no normalization. Responses whose spectra overflow float64 (samples
+near 1e308) can still be read and written as responses; their spectral
+reads are rejected.
 
-Each magnitude datatype (lin, pow, log) is likewise built once over the
-whole set, on its first read, and kept: D*F*R*8 bytes per datatype
-(4 MB for 1944 directions x 129 bins x 2 distances). Every read is one
-chunked gather (`core.gather`) into a new C-contiguous array, at about
-the cost of copying its output, so writing into a read's values never
-touches the stored data, and the values equal those of converting the
-gathered spectra bit for bit.
+A set keeps its responses, each magnitude datatype (lin, pow, log) read
+so far, and the complex spectrum only once a complex read has asked for
+it: D*F*R*8 bytes per magnitude datatype and twice that for the spectrum
+(4 MB and 8 MB for 1944 directions x 129 bins x 2 distances). A
+magnitude datatype is built on its first read straight into the array it
+keeps, one chunk of directions at a time, from that chunk's DFT, so no
+whole-set temporary is made. The first build of each magnitude datatype
+runs its own DFT, once per set.
+
+Every read is one chunked gather (`core.gather`) into a new C-contiguous
+array, at about the cost of copying its output, so writing into a read's
+values never touches the stored data, and the values equal those of
+converting the gathered spectra bit for bit.
 """
 
 from functools import cached_property
@@ -23,9 +29,29 @@ from functools import cached_property
 import numpy as np
 
 from .coords import CoordinateSet, discrete_read_indices
-from .core import DataType, DataVolume, Directivity, gather, magnitude_as
+from .core import _GATHER_STEP, DataType, DataVolume, Directivity, gather, magnitude_as
 
 _ALL_TYPES = frozenset(DataType)
+
+
+def _handed_over(irs):
+    """Whether `irs` is kept as given: a float64 ndarray that owns its
+    memory and is already read-only (the class docstring's hand-over)."""
+    return (
+        type(irs) is np.ndarray
+        and irs.dtype == np.float64
+        and irs.flags.owndata
+        and not irs.flags.writeable
+    )
+
+
+def _checked_rfft(irs):
+    """One-sided spectra of (D, L, R) responses over the time axis."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = np.fft.rfft(irs, axis=1)
+    if not np.all(np.isfinite(spectra)):
+        raise ValueError("spectra overflow float64; only IR reads are served")
+    return spectra
 
 
 class RawIRs(Directivity):
@@ -33,10 +59,21 @@ class RawIRs(Directivity):
 
     The frequency axis is derived from the IR length and sample rate as
     k*fs/L for k = 0 .. floor(L/2); callers never supply it.
+
+    `irs` is copied into a new read-only float64 array unless it is
+    handed over: a float64 ndarray that owns its memory and is already
+    read-only is kept as given. A writeable array, another dtype, a view
+    (a read-only one too) and any other sequence are copied, so later
+    writes to them never reach the set. `irs` is read-only in every case.
+    A handed-over array belongs to the set: it must never be made
+    writeable again, since the magnitudes a set keeps are not rebuilt
+    when its samples change. `synth_test_set` and `read_dird` hand over
+    arrays that no caller holds.
     """
 
     def __init__(self, info, irs, sample_rate, directions, distances=()):
-        irs = np.array(irs, dtype=np.float64)
+        if not _handed_over(irs):
+            irs = np.array(irs, dtype=np.float64)
         if irs.ndim == 2:
             irs = irs[:, :, np.newaxis]
         if irs.ndim != 3:
@@ -72,6 +109,10 @@ class RawIRs(Directivity):
         self._times = times
         self._magnitudes = {}
 
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._irs.setflags(write=False)  # pickle brings arrays back writeable
+
     @property
     def sample_rate(self):
         return self._sample_rate
@@ -91,17 +132,22 @@ class RawIRs(Directivity):
 
     @cached_property
     def _spectra(self):
-        """One-sided spectra over the time axis, computed on the first spectral read."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            spectra = np.fft.rfft(self._irs, axis=1)
-        if not np.all(np.isfinite(spectra)):
-            raise ValueError("spectra overflow float64; only IR reads are served")
-        return spectra
+        """One-sided spectra over the time axis, computed on the first
+        complex read."""
+        return _checked_rfft(self._irs)
 
     def _magnitude(self, datatype):
-        """Whole-set lin, pow or log magnitudes, built on the first read of each."""
+        """Whole-set lin, pow or log magnitudes, built on the first read of
+        each straight into the kept array, one chunk of directions at a time:
+        the chunk's spectra, their modulus, then the conversion, in place."""
         if datatype not in self._magnitudes:
-            self._magnitudes[datatype] = magnitude_as(datatype, np.abs(self._spectra))
+            shape = self.coords.shape
+            out = np.empty(shape)
+            step = max(1, _GATHER_STEP // (shape[1] * shape[2]))
+            for lo in range(0, shape[0], step):
+                chunk = slice(lo, lo + step)
+                magnitude_as(datatype, np.abs(_checked_rfft(self._irs[chunk]), out=out[chunk]))
+            self._magnitudes[datatype] = out
         return self._magnitudes[datatype]
 
     def get_data_matrix(self, requested, datatype):

@@ -87,6 +87,7 @@ def synth_test_set(spec, info=""):
     irs[:, 0, 0] = gains
     if spec.mode == "lowpass":
         irs[:, 1, 0] = gains * spec.lowpass_a
+    irs.setflags(write=False)  # handed over to the set, not copied
     if not info:
         info = (
             f"synthetic {spec.mode} set, {len(directions)} directions, "

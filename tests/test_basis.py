@@ -1,10 +1,10 @@
 """Basis spectrum models: design matrices, fitting, continuous reads."""
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import dirkit.basis
 from dirkit import (
@@ -494,12 +494,7 @@ def test_a_full_order_fit_peaks_below_its_read_and_two_coefficient_arrays():
     raw = RawIRs("noise", irs, 16000.0, directions, (1.0, 2.0))
     n = 32
     fit_basis_model("", raw, "fourier", n)  # the spectra and the source's self-read
-    tracemalloc.start()
-    try:
-        model = fit_basis_model("", raw, "fourier", n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    model, peak = traced_peak(lambda: fit_basis_model("", raw, "fourier", n))
     volume_bytes = len(directions) * n * 2 * 8
     coefficient_bytes = model.coefficients.nbytes
     assert model.order == n and coefficient_bytes == volume_bytes

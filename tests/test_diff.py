@@ -1,10 +1,10 @@
 """Diffs and error measures against hand-computed closed forms."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import dirkit.diff
 from dirkit import (
@@ -658,12 +658,7 @@ def test_aggregates_allocate_no_squared_volume(datatype, measure):
     volume_bytes = diff.differences.nbytes
     for name, call in _aggregates(diff, measure).items():
         call()  # anything built once per diff is built before tracing
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(call)
         bound = 0.15 if (measure, name) == ("sd", "horizontal") else 0.25
         assert peak < bound * volume_bytes, (name, peak, volume_bytes)
 

@@ -1,9 +1,8 @@
 """Numeric kernels against brute-force and closed-form oracles."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from dirkit import kernels
 from dirkit.coords import CoordinateSet, discrete_read_indices
@@ -82,12 +81,9 @@ def test_nearest_direction_memory_stays_bounded():
     rng = np.random.default_rng(SEED + 4)
     base_az, base_el = _random_directions(rng, 4000)
     req_az, req_el = _random_directions(rng, 4000)
-    tracemalloc.start()
-    try:
-        nearest_direction(direction_index(base_az, base_el), req_az, req_el)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: nearest_direction(direction_index(base_az, base_el), req_az, req_el)
+    )
     assert peak < 16 * 2**20
 
 
@@ -131,12 +127,7 @@ def test_nearest_direction_memory_stays_bounded_when_bands_span_the_set(monkeypa
     req_az, req_el = rng.uniform(0, 360, 4000), np.full(4000, -90.0)
     index = direction_index(base_az, base_el)
     log = _spy_compared(monkeypatch)
-    tracemalloc.start()
-    try:
-        got = nearest_direction(index, req_az, req_el)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: nearest_direction(index, req_az, req_el))
     assert peak < 16 * 2**20
     # Every band spans all slabs, 4000 x 63 (request, slab) pairs in all;
     # the windows keep the whole lowest slab, which holds the nearest

@@ -1,10 +1,15 @@
 """Raw impulse-response representation: spectra, datatypes, reads."""
 
+import gc
+import pickle
 import re
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from conftest import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirkit import (
     Continuity,
@@ -18,6 +23,7 @@ from dirkit import (
     synth_test_set,
     write_dird,
 )
+from dirkit import rawirs
 from dirkit.core import magnitude_as
 
 SEED = 20240813
@@ -115,6 +121,73 @@ def test_stored_samples_are_isolated_from_the_input_array():
     assert raw.irs[0, 0, 0] == 1.0
     with pytest.raises(ValueError):
         raw.irs[0, 0, 0] = 5.0  # read-only storage
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _not_handed_over(name):
+    """Inputs that RawIRs copies, each failing one part of the hand-over rule."""
+    base = np.random.default_rng(SEED).standard_normal((4, 8, 2))
+    if name == "writeable":
+        return base
+    if name == "float32":
+        return _read_only(base.astype(np.float32))
+    if name == "slice view":
+        return _read_only(base.copy())[:3]
+    if name == "read-only view of a writeable base":
+        return _read_only(base.view())
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "writeable", "float32", "slice view", "read-only view of a writeable base",
+])
+def test_inputs_that_are_not_handed_over_are_copied(name):
+    source = _not_handed_over(name)
+    directions = [(90.0 * i, 0.0) for i in range(len(source))]
+    raw = RawIRs("", source, 100.0, directions, (1.0, 2.0))
+    assert not np.shares_memory(raw.irs, source)
+    assert raw.irs.dtype == np.float64 and not raw.irs.flags.writeable
+    assert np.array_equal(raw.irs, source.astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 2), (3, 8)], ids=["3-D", "2-D"])
+def test_a_read_only_float64_array_that_owns_its_memory_is_kept(shape):
+    source = _read_only(np.random.default_rng(SEED).standard_normal(shape))
+    distances = (1.0, 2.0) if len(shape) == 3 else ()
+    raw = RawIRs("", source, 100.0, [(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], distances)
+    assert np.shares_memory(raw.irs, source)
+    assert raw.irs is source or raw.irs.base is source
+    assert not raw.irs.flags.writeable
+
+
+@pytest.mark.parametrize("producer", ["synth_test_set", "read_dird"])
+def test_producers_hand_over_arrays_no_caller_holds(producer, monkeypatch, tmp_path):
+    handed_over, verdicts = rawirs._handed_over, []
+
+    def spy(irs):
+        verdicts.append(handed_over(irs))
+        return verdicts[-1]
+
+    spec = SynthSpec(mode="lowpass", azimuth_step=30.0, elevation_step=30.0, length=16)
+    if producer == "read_dird":
+        write_dird(synth_test_set(spec), tmp_path / "set.dird")
+    monkeypatch.setattr(rawirs, "_handed_over", spy)
+    raw = synth_test_set(spec) if producer == "synth_test_set" else read_dird(tmp_path / "set.dird")
+    assert verdicts == [True]
+    # The set holds the only reference: the array dies with it.
+    kept = weakref.ref(raw.irs)
+    del raw
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_set_stays_read_only_across_a_pickle_round_trip():
+    raw = pickle.loads(pickle.dumps(make_raw(np.random.default_rng(SEED))))
+    assert not raw.irs.flags.writeable
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +487,68 @@ def test_response_only_use_never_computes_spectra(monkeypatch, tmp_path):
         raw.get_data_matrix(raw.coords, DataType.LOG_MAGNITUDE)
 
 
+_CACHE_SET_DIRECTIONS = [(az, el) for el in (-30.0, 0.0, 30.0, 90.0)
+                         for az in (0.0, 90.0, 180.0, 270.0)]
+
+CACHE_REQUESTS = {
+    "whole-set": None,
+    "off-grid": CoordinateSet(
+        directions=[(151.0, 24.0), (29.0, -26.0), (45.0, 89.0), (181.0, 1.0)],
+        frequencies=(100.0, 1320.0, 2600.0, 3999.0),
+        distances=(1.3, 2.6),
+    ),
+    "one-direction": CoordinateSet(
+        directions=[(300.0, 88.0)], frequencies=(750.0,), distances=(2.0,)
+    ),
+}
+
+_CACHE_STEPS = st.one_of(
+    st.tuples(st.just("read"), st.sampled_from(list(DataType)),
+              st.sampled_from(sorted(CACHE_REQUESTS))),
+    st.tuples(st.just("write result"), st.integers(0, 20)),
+    st.just(("write input",)),
+    st.just(("pickle",)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(_CACHE_STEPS, min_size=1, max_size=14))
+def test_no_order_of_reads_writes_and_pickles_changes_an_answer(steps):
+    # 16 directions with four pole copies, a silent response, two distances.
+    irs = np.random.default_rng(SEED + 30).standard_normal((16, 16, 2))
+    irs[5] = 0.0
+    source = irs.copy()
+    raw = RawIRs("caches", source, 8000.0, _CACHE_SET_DIRECTIONS, (1.0, 2.0))
+    results, intact, complex_read = [], [], False
+    for step in steps:
+        if step[0] == "read":
+            _, datatype, name = step
+            volume = raw.get_data_matrix(CACHE_REQUESTS[name] or raw.coords, datatype)
+            results.append(volume)
+            intact.append((volume, volume.values.copy()))
+            assert np.array_equal(volume.values, _expected_read(raw, volume, datatype))
+            complex_read |= datatype is DataType.COMPLEX_SPECTRUM
+        elif step[0] == "write result" and results:
+            written = results[step[1] % len(results)]
+            written.values[...] = 7.0
+            intact = [(v, kept) for v, kept in intact if v is not written]
+        elif step[0] == "write input":
+            source[...] = 7.0
+        elif step[0] == "pickle":
+            raw = pickle.loads(pickle.dumps(raw))
+
+        assert np.array_equal(raw.irs, irs) and not raw.irs.flags.writeable
+        for volume, kept in intact:
+            assert np.array_equal(volume.values, kept)
+        stored = [raw.irs, *raw._magnitudes.values()]
+        if "_spectra" in vars(raw):
+            stored.append(raw._spectra)
+        for i, volume in enumerate(results):
+            others = stored + [v.values for v in results[:i]]
+            assert not any(np.shares_memory(volume.values, other) for other in others)
+        assert ("_spectra" in vars(raw)) == complex_read
+
+
 def _two_distance_grid_set():
     spec = SynthSpec(mode="lowpass", azimuth_step=5.0, elevation_step=5.0,
                      elevation_limits=(-40.0, 90.0), length=256)
@@ -427,13 +562,7 @@ def _two_distance_grid_set():
 def _warm_peak(call):
     """The result and peak traced allocation of a second call."""
     call()
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
+    return traced_peak(call)
 
 
 def _peak_over_output(read):

@@ -1,10 +1,10 @@
 """Spectrum-series and balloon-grid sampling on top of matrix reads."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from dirkit import (
     BasisFamily,
@@ -72,13 +72,9 @@ def test_a_long_series_keeps_its_memory_bounded():
     rng = np.random.default_rng(SEED)
     raw = RawIRs("long", rng.standard_normal((2, 16384)), 48000.0, [(0.0, 0.0), (90.0, 0.0)])
     copy = CoordinateSet(directions=[(10.0, 5.0)], frequencies=raw.coords.frequency_array)
-    tracemalloc.start()
-    try:
-        series = raw.spectrum_series((10.0, 5.0))
-        volume = raw.get_data_matrix(copy, DataType.LOG_MAGNITUDE)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (series, volume), peak = traced_peak(lambda: (
+        raw.spectrum_series((10.0, 5.0)), raw.get_data_matrix(copy, DataType.LOG_MAGNITUDE)
+    ))
     assert volume.values[0, :, 0].tobytes() == series.values.tobytes()
     assert peak < 16 * 2**20
 
@@ -175,6 +171,16 @@ def test_zero_lower_limit_is_floored_at_twenty_hz():
     series = model.spectrum_series((0.0, 0.0))
     assert series.frequencies[0] == pytest.approx(20.0)
     assert series.frequencies[-1] == pytest.approx(1000.0)
+
+
+def test_zero_lower_limit_below_twenty_hz_upper_serves_the_upper_limit():
+    # The floor stops at the upper limit, so the limits become equal.
+    model = BasisSpectrumModel("", BasisFamily.COSINE, np.ones((1, 2)), (0.0, 10.0), [(0, 0)])
+    series = model.spectrum_series((0, 0))
+    np.testing.assert_array_equal(series.frequencies, [10.0])
+    request = CoordinateSet(directions=[(0.0, 0.0)], frequencies=(10.0,))
+    direct = model.get_data_matrix(request, DataType.LOG_MAGNITUDE).values[0, :, 0]
+    np.testing.assert_array_equal(series.values, direct)
 
 
 def test_a_one_bin_model_serves_its_one_frequency():
