@@ -44,7 +44,14 @@ import numpy as np
 
 from . import kernels
 from .coords import Continuity, CoordinateSet, _ascending, discrete_read_indices
-from .core import DataType, DataVolume, Directivity, _db_to_linear_in_place, gather
+from .core import (
+    DataType,
+    DataVolume,
+    Directivity,
+    _db_to_linear_in_place,
+    gather,
+    magnitude_as,
+)
 
 _MODEL_TYPES = frozenset(
     {DataType.LOG_MAGNITUDE, DataType.LINEAR_MAGNITUDE, DataType.POWER_SPECTRUM}
@@ -165,9 +172,7 @@ class BasisSpectrumModel(Directivity):
         values = np.matmul(design, coef)
         if datatype is not DataType.LOG_MAGNITUDE:
             # The product is a new array; convert it where it stands.
-            _db_to_linear_in_place(values)
-            if datatype is DataType.POWER_SPECTRUM:
-                np.multiply(values, values, out=values)
+            magnitude_as(datatype, _db_to_linear_in_place(values))
         return DataVolume(values, actual, datatype)
 
 

@@ -238,10 +238,10 @@ class Directivity(ABC):
         """Spectrum at one direction/distance as (frequencies, values).
 
         Frequency-discrete representations report every stored bin;
-        frequency-continuous ones are sampled at 512 log-spaced points
-        between the limits (a lower limit of 0 floored at 20 Hz, or at the
-        upper limit when that is below 20 Hz), or at the one frequency of
-        equal limits.
+        frequency-continuous ones are sampled at the distinct values of 512
+        log-spaced points between the limits (a lower limit of 0 floored at
+        20 Hz, or at the upper limit when that is below 20 Hz), or at the one
+        frequency of equal limits.
         """
         if not datatype.is_spectral:
             raise ValueError("spectrum_series needs a spectral datatype")
@@ -257,7 +257,8 @@ class Directivity(ABC):
             if lo == hi:  # one frequency, which geomspace would round
                 freqs = np.array([hi])
             else:
-                freqs = np.geomspace(lo, hi, SERIES_SAMPLES)
+                # Limits a few ulps apart give repeated points; serve each once.
+                freqs = np.unique(np.geomspace(lo, hi, SERIES_SAMPLES))
             freqs = _ascending(freqs, "frequency", 0.0, strict_min=False)
         else:
             freqs = self.coords._values[0]

@@ -9,22 +9,20 @@ with no normalization. Responses whose spectra overflow float64 (samples
 near 1e308) can still be read and written as responses; their spectral
 reads are rejected.
 
-A set keeps its responses, each magnitude datatype (lin, pow, log) read
-so far, and the complex spectrum only once a complex read has asked for
-it: D*F*R*8 bytes per magnitude datatype and twice that for the spectrum
-(4 MB and 8 MB for 1944 directions x 129 bins x 2 distances). A
-magnitude datatype is built on its first read straight into the array it
-keeps, one chunk of directions at a time, from that chunk's DFT, so no
-whole-set temporary is made. The first build of each magnitude datatype
-runs its own DFT, once per set.
+A set keeps one store: for each datatype read so far, the whole-set
+array its reads gather from. It holds the responses from construction
+on. Each spectral datatype is added on its first read, built straight
+into the array it keeps one chunk of directions at a time from that
+chunk's own DFT, so no whole-set temporary is made and each first read
+runs its own DFT, once per set. A kept magnitude datatype (lin, pow,
+log) takes D*F*R*8 bytes and the complex spectrum twice that (4 MB and
+8 MB for 1944 directions x 129 bins x 2 distances).
 
 Every read is one chunked gather (`core.gather`) into a new C-contiguous
 array, at about the cost of copying its output, so writing into a read's
 values never touches the stored data, and the values equal those of
 converting the gathered spectra bit for bit.
 """
-
-from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +64,7 @@ class RawIRs(Directivity):
     (a read-only one too) and any other sequence are copied, so later
     writes to them never reach the set. `irs` is read-only in every case.
     A handed-over array belongs to the set: it must never be made
-    writeable again, since the magnitudes a set keeps are not rebuilt
+    writeable again, since the spectra a set keeps are not rebuilt
     when its samples change. `synth_test_set` and `read_dird` hand over
     arrays that no caller holds.
     """
@@ -104,14 +102,13 @@ class RawIRs(Directivity):
             )
         super().__init__(info, coords)
         irs.setflags(write=False)
-        self._irs = irs
+        self._store = {DataType.IMPULSE_RESPONSES: irs}
         self._sample_rate = sample_rate
         self._times = times
-        self._magnitudes = {}
 
     def __setstate__(self, state):
         vars(self).update(state)
-        self._irs.setflags(write=False)  # pickle brings arrays back writeable
+        self.irs.setflags(write=False)  # pickle brings arrays back writeable
 
     @property
     def sample_rate(self):
@@ -119,52 +116,46 @@ class RawIRs(Directivity):
 
     @property
     def ir_length(self):
-        return self._irs.shape[1]
+        return self.irs.shape[1]
 
     @property
     def irs(self):
         """Stored responses, shaped (direction, time, distance); read-only."""
-        return self._irs
+        return self._store[DataType.IMPULSE_RESPONSES]
 
     @property
     def supported_datatypes(self):
         return _ALL_TYPES
 
-    @cached_property
-    def _spectra(self):
-        """One-sided spectra over the time axis, computed on the first
-        complex read."""
-        return _checked_rfft(self._irs)
-
-    def _magnitude(self, datatype):
-        """Whole-set lin, pow or log magnitudes, built on the first read of
-        each straight into the kept array, one chunk of directions at a time:
-        the chunk's spectra, their modulus, then the conversion, in place."""
-        if datatype not in self._magnitudes:
+    def _stored(self, datatype):
+        """The whole-set array a read of `datatype` gathers from. A spectral
+        datatype is built on its first read straight into the kept array,
+        one chunk of directions at a time: the chunk's spectra, kept as they
+        are for complex, else their modulus converted in place."""
+        if datatype not in self._store:
             shape = self.coords.shape
-            out = np.empty(shape)
+            is_complex = datatype is DataType.COMPLEX_SPECTRUM
+            out = np.empty(shape, dtype=np.complex128 if is_complex else np.float64)
             step = max(1, _GATHER_STEP // (shape[1] * shape[2]))
             for lo in range(0, shape[0], step):
                 chunk = slice(lo, lo + step)
-                magnitude_as(datatype, np.abs(_checked_rfft(self._irs[chunk]), out=out[chunk]))
-            self._magnitudes[datatype] = out
-        return self._magnitudes[datatype]
+                spectra = _checked_rfft(self.irs[chunk])
+                if is_complex:
+                    out[chunk] = spectra
+                else:
+                    magnitude_as(datatype, np.abs(spectra, out=out[chunk]))
+            self._store[datatype] = out
+        return self._store[datatype]
 
     def get_data_matrix(self, requested, datatype):
         self._check_datatype(datatype)
         d_idx, f_idx, r_idx, actual = discrete_read_indices(self.coords, requested)
-
         if datatype is DataType.IMPULSE_RESPONSES:
             # Full-length responses; the requested frequency vector has no
             # role here and the middle axis becomes time in seconds.
-            values = gather(self._irs, d_idx, np.arange(self.ir_length), r_idx)
-            coords = CoordinateSet._unchecked(
+            f_idx = np.arange(self.ir_length)
+            actual = CoordinateSet._unchecked(
                 actual.directions, self._times, actual.distances, actual.continuity
             )
-            return DataVolume(values, coords, datatype)
-
-        if datatype is DataType.COMPLEX_SPECTRUM:
-            source = self._spectra
-        else:
-            source = self._magnitude(datatype)
-        return DataVolume(gather(source, d_idx, f_idx, r_idx), actual, datatype)
+        values = gather(self._stored(datatype), d_idx, f_idx, r_idx)
+        return DataVolume(values, actual, datatype)

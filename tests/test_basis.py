@@ -20,6 +20,7 @@ from dirkit import (
     db_to_linear,
     eval_basis,
     fit_basis_model,
+    linear_to_db,
     read_dirm,
     synth_test_set,
     write_dirm,
@@ -242,6 +243,15 @@ def test_db_to_linear_is_the_power_form_to_1e14():
     np.testing.assert_array_equal(db, kept)
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear([0.0, -0.0]).tolist() == [1.0, 1.0]
+
+
+def test_linear_to_db_floors_zero_and_leaves_its_input():
+    linear = np.array([0.0, 1.0, 10.0])
+    assert linear_to_db(linear).tolist() == [-300.0, 0.0, 20.0]
+    assert linear.tolist() == [0.0, 1.0, 10.0]
+    scalar = linear_to_db(10.0)
+    assert isinstance(scalar, float) and not isinstance(scalar, np.ndarray)
+    assert scalar == 20.0
 
 
 def test_log_read_is_the_design_product_bit_for_bit():

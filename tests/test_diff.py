@@ -64,8 +64,10 @@ def test_info_is_auto_generated_with_datatype_suffix():
     eva = RawIRs(info="model", irs=a.irs, sample_rate=16000.0, directions=[(0, 0)])
     diff = DirectivityDiff("", ref, eva)
     assert diff.info == "diff of model vs left ear (log)"
+    assert diff.datatype is DataType.LOG_MAGNITUDE
     named = DirectivityDiff("run 7", ref, eva, datatype=DataType.LINEAR_MAGNITUDE)
     assert named.info == "run 7 (lin)"
+    assert named.datatype is DataType.LINEAR_MAGNITUDE
 
 
 def test_defaults_to_reference_coordinates():
@@ -142,6 +144,20 @@ def test_sd_over_selection_matches_manual_restriction():
     got = diff.compute_sd(over)
     delta = diff.differences[np.ix_([1, 3], [2, 4], [0])]
     assert got == pytest.approx(float(np.sqrt(np.mean(delta**2))), abs=1e-12)
+
+
+@pytest.mark.parametrize("measure, datatype", [
+    ("sd", DataType.LOG_MAGNITUDE), ("mse", DataType.LINEAR_MAGNITUDE),
+])
+@pytest.mark.parametrize("over", [
+    CoordinateSet(directions=[(0.0, 0.0)], frequencies=()),
+    CoordinateSet(directions=[], frequencies=(1000.0,)),
+], ids=["no frequencies", "no directions"])
+def test_an_empty_selection_is_rejected(measure, datatype, over):
+    rng = np.random.default_rng(SEED + 40)
+    diff = DirectivityDiff("", random_set(rng, RING4), random_set(rng, RING4), datatype=datatype)
+    with pytest.raises(ValueError, match="^empty selection$"):
+        getattr(diff, f"compute_{measure}")(over)
 
 
 # --------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_first_log_read_keeps_one_magnitude_and_no_spectrum():
 
     kept, _ = traced_peak(kept_by_read)
     assert kept / _magnitude_bytes(raw) < 1.5
-    assert "_spectra" not in vars(raw)
+    assert set(raw._store) == {DataType.IMPULSE_RESPONSES, DataType.LOG_MAGNITUDE}
 
 
 def test_read_dird_peaks_near_the_responses_it_keeps(tmp_path):

@@ -540,13 +540,11 @@ def test_no_order_of_reads_writes_and_pickles_changes_an_answer(steps):
         assert np.array_equal(raw.irs, irs) and not raw.irs.flags.writeable
         for volume, kept in intact:
             assert np.array_equal(volume.values, kept)
-        stored = [raw.irs, *raw._magnitudes.values()]
-        if "_spectra" in vars(raw):
-            stored.append(raw._spectra)
+        stored = list(raw._store.values())
         for i, volume in enumerate(results):
             others = stored + [v.values for v in results[:i]]
             assert not any(np.shares_memory(volume.values, other) for other in others)
-        assert ("_spectra" in vars(raw)) == complex_read
+        assert (DataType.COMPLEX_SPECTRUM in raw._store) == complex_read
 
 
 def _two_distance_grid_set():

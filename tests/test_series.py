@@ -194,6 +194,18 @@ def test_a_one_bin_model_serves_its_one_frequency():
     np.testing.assert_array_equal(series.values, direct)
 
 
+def test_limits_a_few_ulps_apart_serve_each_distinct_point_once():
+    # 512 log-spaced points between limits 2 ulps apart repeat values.
+    limits = (1000.0, 1000.0000000000002)
+    model = BasisSpectrumModel("m", "fourier", np.ones((1, 1)), limits, [(0.0, 0.0)])
+    series = model.spectrum_series((0.0, 0.0))
+    assert series.frequencies[0] == limits[0] and series.frequencies[-1] == limits[1]
+    assert np.all(np.diff(series.frequencies) > 0) and len(series.frequencies) <= 3
+    request = CoordinateSet(directions=[(0.0, 0.0)], frequencies=series.frequencies)
+    direct = model.get_data_matrix(request, DataType.LOG_MAGNITUDE).values[0, :, 0]
+    np.testing.assert_array_equal(series.values, direct)
+
+
 def test_series_on_analytic_double_matches_closed_form():
     lobe = AnalyticLobe()
     series = lobe.spectrum_series((0.0, 10.0))
